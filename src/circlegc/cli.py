@@ -46,22 +46,35 @@ def _read_json(path):
 
 
 def _cached_basis(parity: str, k: int, m: int, framed: bool):
+    """The basis, served from the cache directory when a file there was
+    written by this version for the same bidegree; anything else there,
+    unreadable or stale, is a miss and is overwritten."""
     cache = os.environ.get(CACHE_ENV)
-    name = "basis_%s_%d_%d%s.json" % (parity, k, m,
-                                      "_framed" if framed else "")
+    key = {"tool": "circlegc", "version": __version__, "parity": parity,
+           "order": k, "degree": m, "framed": framed}
     if cache:
-        path = os.path.join(cache, name)
-        if os.path.exists(path):
-            return [graph_from_dict(d) for d in _read_json(path)["graphs"]]
+        path = os.path.join(cache, "basis_%s_%d_%d%s.json" % (
+            parity, k, m, "_framed" if framed else ""))
+        try:
+            data = _read_json(path)
+        except (OSError, ValueError):
+            data = None
+        if isinstance(data, dict) and isinstance(data.get("graphs"), list) \
+                and all(data.get(f) == v for f, v in key.items()):
+            return [graph_from_dict(d) for d in data["graphs"]]
     graphs = framed_basis(k, m) if framed else basis(parity, k, m)
     if cache:
         os.makedirs(cache, exist_ok=True)
-        payload = {"tool": "circlegc", "version": __version__,
-                   "parity": parity, "order": k, "degree": m,
-                   "framed": framed,
-                   "graphs": [graph_to_dict(g) for g in graphs]}
-        with open(os.path.join(cache, name), "w") as fh:
-            fh.write(dumps(payload))
+        payload = dict(key, graphs=[graph_to_dict(g) for g in graphs])
+        # a reader sees the old file or the whole new one, never a part
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(dumps(payload))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return graphs
 
 
@@ -112,7 +125,7 @@ def cmd_cohomology(args):
 
 
 def cmd_verify(args):
-    report = run_suite(args.suite, jobs=args.jobs)
+    report = run_suite(args.suite)
     _emit(dumps(report), args.report)
     return 0 if report["passed"] else 1
 
@@ -213,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--report")
     sp.set_defaults(fn=cmd_verify)
 

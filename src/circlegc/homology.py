@@ -1,15 +1,25 @@
 """Exact linear algebra over the rationals for the graph complexes.
 
-Matrices of the coboundary between enumerated bases, kernels and ranks by
-dense Gaussian elimination on Fractions, and cohomology dimensions
-dim H = dim ker - rank of the incoming map.  Everything is deterministic:
-bases are sorted by canonical encoding and pivots are chosen first-come.
+Matrices of the coboundary between enumerated bases, kernels and ranks,
+and cohomology dimensions dim H = dim ker - rank of the incoming map.
+
+Ranks and kernels come from one sparse exact elimination over Q.  It
+walks the columns in index order and reduces each against the pivot
+vectors found so far, kept as sparse primitive integer vectors; a column
+that does not reduce to zero becomes a pivot column.  So the pivot
+columns are those of the reduced row echelon form, and the kernel vector
+of a dependent column is the unique relation between it and the pivot
+columns before it, which is exactly the RREF kernel vector of that free
+column.  With the first nonzero coefficient normalized to +1, the kernel
+basis and its order do not depend on which row each pivot sits in.
+Everything is deterministic: bases are sorted by canonical encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .graphs import DecoratedGraph, GraphVector, degree, order
 from .coboundary import delta, delta_vector
@@ -54,14 +64,6 @@ class SparseRationalMatrix:
                 out.append((i, j, col[i]))
         return out
 
-    def dense_rows(self):
-        nr, nc = self.shape
-        rows = [[Fraction(0)] * nc for _ in range(nr)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
-
     def compose(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """self @ other; other's row basis must be self's column basis."""
         if [g.sort_key() for g in other.row_basis] != \
@@ -81,75 +83,113 @@ class SparseRationalMatrix:
     def is_zero(self) -> bool:
         return all(not col for col in self.columns)
 
+    def _rows(self):
+        """Row-sparse copy: one {col: value} map per row basis graph."""
+        rows = [{} for _ in self.row_basis]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
+
     def rank(self) -> int:
-        return _rank(self.dense_rows(), len(self.col_basis))
+        return _rank(self._rows(), len(self.col_basis))
 
     def kernel(self):
         """Kernel basis as coefficient lists over col_basis, normalized so
         the first nonzero coefficient of each vector is +1."""
-        return _kernel(self.dense_rows(), len(self.col_basis))
+        return _kernel(self._rows(), len(self.col_basis))
+
+
+def _combine(a, x, b, y):
+    """a * x - b * y for sparse integer vectors {index: value}."""
+    out = {i: a * v for i, v in x.items()} if a != 1 else dict(x)
+    for i, v in y.items():
+        w = out.get(i, 0) - b * v
+        if w:
+            out[i] = w
+        else:
+            del out[i]
+    return out
+
+
+def _eliminate(rows, ncols):
+    """Sparse exact column elimination.
+
+    ``rows`` holds sequences of length ``ncols`` or {col: value} maps.
+    Each column is scaled to a primitive integer vector and reduced,
+    left to right, against the pivot vectors found so far.  A column
+    that keeps a nonzero entry becomes a pivot, on the entry whose row
+    meets the fewest columns; one that reduces to zero is dependent and
+    yields the unique vanishing combination of itself and the earlier
+    pivot columns.
+
+    Returns the rank and the kernel vectors (dense lists of Fractions
+    over the columns, first nonzero entry +1), one per dependent column
+    in column order.
+    """
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in (row.items() if isinstance(row, dict)
+                     else enumerate(row)):
+            if v:
+                cols[j][i] = v
+    meets = {}
+    for col in cols:
+        for i in col:
+            meets[i] = meets.get(i, 0) + 1
+    scale = []
+    pivots = []          # (pivot row, vector, combination of columns)
+    pivot_of = {}        # pivot row -> index into pivots
+    kernel = []
+    for j, col in enumerate(cols):
+        den = lcm(*(v.denominator for v in col.values()))
+        vec = {i: v.numerator * (den // v.denominator)
+               for i, v in col.items()}
+        g = gcd(*vec.values()) or 1
+        vec = {i: v // g for i, v in vec.items()}
+        scale.append(Fraction(den, g))
+        comb = {j: 1}
+        # pivot k's vector has no entry on the rows of pivots before k,
+        # so clearing pivot rows in increasing k never refills them
+        todo = {pivot_of[i] for i in vec if i in pivot_of}
+        while todo:
+            k = min(todo)
+            todo.remove(k)
+            r, pvec, pcomb = pivots[k]
+            b = vec.get(r)
+            if b is None:
+                continue
+            a = pvec[r]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            todo.update(pivot_of[i] for i in pvec
+                        if i in pivot_of and i not in vec)
+            vec = _combine(a, vec, b, pvec)
+            comb = _combine(a, comb, b, pcomb)
+            g = gcd(*vec.values(), *comb.values())
+            if g > 1:
+                vec = {i: v // g for i, v in vec.items()}
+                comb = {i: v // g for i, v in comb.items()}
+        if vec:
+            r = min(vec, key=lambda i: (meets[i], i))
+            pivot_of[r] = len(pivots)
+            pivots.append((r, vec, comb))
+        else:
+            first = min(comb)
+            lead = comb[first] * scale[first]
+            out = [Fraction(0)] * ncols
+            for c, u in comb.items():
+                out[c] = u * scale[c] / lead
+            kernel.append(out)
+    return len(pivots), kernel
 
 
 def _rank(rows, ncols) -> int:
-    rank = 0
-    col = 0
-    nrows = len(rows)
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] * inv
-                row = rows[r]
-                for c in range(col, ncols):
-                    row[c] -= f * prow[c]
-        rank += 1
-        col += 1
-    return rank
+    return _eliminate(rows, ncols)[0]
 
 
 def _kernel(rows, ncols):
-    nrows = len(rows)
-    pivots = []       # (row, col) of each pivot
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for c in range(col, ncols):
-            prow[c] *= inv
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                row = rows[r]
-                for c in range(col, ncols):
-                    row[c] -= f * prow[c]
-        pivots.append((rank, col))
-        rank += 1
-        col += 1
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    out = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, c in pivots:
-            vec[c] = -rows[r][fc]
-        lead = next(v for v in vec if v)
-        if lead != 1:
-            vec = [v / lead for v in vec]
-        out.append(vec)
-    return out
+    return _eliminate(rows, ncols)[1]
 
 
 @dataclass

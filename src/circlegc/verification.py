@@ -8,11 +8,8 @@ assembled report serializes byte-identically across runs.  The CLI
 
 from __future__ import annotations
 
-import time
-from fractions import Fraction
-
 from . import __version__
-from .graphs import ODD, EVEN, DecoratedGraph, GraphVector
+from .graphs import ODD, EVEN
 from .coboundary import delta, delta_vector
 from .enumeration import basis, framed_basis
 from .homology import (cohomology, delta_matrix, _rank)
@@ -333,17 +330,11 @@ def basis_ordering(parity: str, k: int, m: int):
     return [graph_to_dict(g) for g in basis(parity, k, m)]
 
 
-def run_suite(name: str, jobs: int = 1) -> dict:
+def run_suite(name: str) -> dict:
     """Run one named suite and assemble the deterministic report."""
     if name not in SUITES:
         raise KeyError("unknown suite %r" % (name,))
-    fns = SUITES[name]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda f: f(), fns))
-    else:
-        results = [f() for f in fns]
+    results = [f() for f in SUITES[name]]
     ordering = {"%s_%d_0" % (p, k): basis_ordering(p, k, 0)
                 for p in (ODD, EVEN) for k in (1, 2, 3)}
     return {"tool": "circlegc", "version": __version__, "suite": name,

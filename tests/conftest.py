@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import os
 import random
 
+import pytest
+
 from circlegc.graphs import ODD, EVEN, DecoratedGraph
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_subprocess_path():
+    """Subprocesses the tests start (criterion 11 runs the CLI) import
+    circlegc from this checkout's src, as the tests themselves do."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 def _perm_sign(perm) -> int:

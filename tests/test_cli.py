@@ -105,3 +105,41 @@ def test_basis_cache_round_trip(tmp_path, capsys, monkeypatch):
                        "2", "--degree", "0")
     assert code == 0
     assert first == second
+
+
+def _cache_file(tmp_path):
+    (path,) = (tmp_path / "cache").iterdir()
+    return path
+
+
+def test_basis_cache_stale_version_recomputes(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(tmp_path / "cache"))
+    argv = ("enumerate", "--parity", "odd", "--order", "2", "--degree", "0")
+    code, fresh = run(capsys, *argv)
+    assert code == 0
+    path = _cache_file(tmp_path)
+    data = json.loads(path.read_text())
+    data["version"] = "0.0.0-stale"
+    data["graphs"] = data["graphs"][:1]
+    path.write_text(json.dumps(data))
+    code, again = run(capsys, *argv)
+    assert code == 0
+    assert again == fresh
+    assert json.loads(path.read_text())["version"] != "0.0.0-stale"
+
+
+def test_basis_cache_truncated_file_recomputes(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(tmp_path / "cache"))
+    argv = ("enumerate", "--parity", "even", "--order", "2", "--degree", "0")
+    code, fresh = run(capsys, *argv)
+    assert code == 0
+    path = _cache_file(tmp_path)
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    code, again = run(capsys, *argv)
+    assert code == 0
+    assert again == fresh
+    assert path.read_text() == text
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
