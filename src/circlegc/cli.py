@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .graphs import ODD, EVEN
+from .graphs import ODD, EVEN, is_canonical
 from .coboundary import delta
 from .enumeration import basis, framed_basis
 from .homology import cohomology
@@ -47,8 +47,9 @@ def _read_json(path):
 
 def _cached_basis(parity: str, k: int, m: int, framed: bool):
     """The basis, served from the cache directory when a file there was
-    written by this version for the same bidegree; anything else there,
-    unreadable or stale, is a miss and is overwritten."""
+    written by this version for the same bidegree and holds only canonical
+    graphs; anything else there, unreadable, stale or malformed, is a miss
+    and is overwritten."""
     cache = os.environ.get(CACHE_ENV)
     key = {"tool": "circlegc", "version": __version__, "parity": parity,
            "order": k, "degree": m, "framed": framed}
@@ -61,7 +62,12 @@ def _cached_basis(parity: str, k: int, m: int, framed: bool):
             data = None
         if isinstance(data, dict) and isinstance(data.get("graphs"), list) \
                 and all(data.get(f) == v for f, v in key.items()):
-            return [graph_from_dict(d) for d in data["graphs"]]
+            try:
+                graphs = [graph_from_dict(d) for d in data["graphs"]]
+                if all(is_canonical(g) for g in graphs):
+                    return graphs
+            except ValueError:
+                pass
     graphs = framed_basis(k, m) if framed else basis(parity, k, m)
     if cache:
         os.makedirs(cache, exist_ok=True)
@@ -258,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:    # json.JSONDecodeError included
+        print("circlegc: error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

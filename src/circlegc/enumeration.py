@@ -6,8 +6,14 @@ external vertices.  Internal vertices need valence 3, external vertices
 valence 1 (crossed external vertices may be bare), and the total slack
 2e - 3 v_i - v_ext equals m, so for m < 0 there is nothing and for m = 0
 the valences are exact.  Underlying simple graphs are generated by a
-depth-first search over sorted endpoint pairs with valence-deficit pruning;
-each shape is then decorated in a fixed way, canonicalized, and deduped.
+depth-first search over the sorted endpoint pairs, row by row.  The search
+keeps the valence deficit (edge ends still missing below the minimum
+valences) and excess (ends above them) as running counts, updated as each
+edge end is added or removed.  A branch stops when the excess passes the
+slack, when the remaining edges cannot cover the deficit, or when it has
+passed the row of a vertex still below its minimum valence: no later pair
+reaches that vertex.  Each shape is then decorated in a fixed way,
+canonicalized, and deduped.
 """
 
 from __future__ import annotations
@@ -16,30 +22,7 @@ import itertools
 from functools import lru_cache
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
-                     canonical_form)
-
-
-def _connected(v_ext: int, v_int: int, pairs) -> bool:
-    """All vertices in one component, the circle tying the externals."""
-    parent = list(range(v_ext + v_int + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for v in range(2, v_ext + 1):
-        union(1, v)
-    for a, b in pairs:
-        union(a, b)
-    root = find(1)
-    return all(find(v) == root for v in range(1, v_ext + v_int + 1))
+                     _connected, canonical_form)
 
 
 def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
@@ -58,35 +41,50 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
             pool.append((a, b))
     out = []
     val = [0] * (nv + 1)
-
-    def deficit():
-        return sum(max(0, min_val[v - 1] - val[v]) for v in range(1, nv + 1))
-
-    def excess():
-        return sum(max(0, val[v] - min_val[v - 1]) for v in range(1, nv + 1))
+    need_val = (0,) + tuple(min_val)
+    # running sums of max(0, min_val - val) and max(0, val - min_val) over
+    # the vertices, updated one edge end at a time
+    deficit = sum(min_val)
+    excess = 0
 
     def grow(idx, chosen, max_int_used):
+        nonlocal deficit, excess
         need = e - len(chosen)
         if need == 0:
-            if deficit() == 0 and _connected(v_ext, v_int, chosen):
+            if deficit == 0 and _connected(v_ext, nv, chosen):
                 out.append(tuple(chosen))
             return
-        if len(pool) - idx < need or deficit() > 2 * need:
+        if len(pool) - idx < need or deficit > 2 * need:
             return
+        # pairs come row by row, so a vertex gets no edge end once the
+        # search has passed its row
+        row = pool[idx - 1][0] if idx else 1
         for j in range(idx, len(pool)):
             a, b = pool[j]
-            hi_int = max(a, b) if max(a, b) > v_ext else 0
+            if a != row:
+                if val[row] < need_val[row]:
+                    break
+                row = a
+            hi_int = b if b > v_ext else 0
             # introduce anonymous internal slots in label order
             if hi_int and hi_int > max_int_used + 1:
                 continue
-            val[a] += 1
-            val[b] += 1
-            if excess() <= slack:
+            for v in (a, b):
+                if val[v] < need_val[v]:
+                    deficit -= 1
+                else:
+                    excess += 1
+                val[v] += 1
+            if excess <= slack:
                 chosen.append((a, b))
                 grow(j + 1, chosen, max(max_int_used, hi_int))
                 chosen.pop()
-            val[a] -= 1
-            val[b] -= 1
+            for v in (b, a):
+                val[v] -= 1
+                if val[v] < need_val[v]:
+                    deficit += 1
+                else:
+                    excess -= 1
 
     grow(0, [], v_ext)
     return out

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .graphs import (ODD, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
                      GraphVector, canonical_form, degree,
-                     is_zero_by_relations)
+                     is_zero_by_relations, perm_sign)
 from .coboundary import (ContractionSite, contraction_sites, contract,
                          orientation_sign, _merge_map, _sigma)
 
@@ -200,7 +200,7 @@ def short_chord_substitution(g: DecoratedGraph,
             crosses = tuple(raw.crosses[place[t]] for t in range(r))
             raw = DecoratedGraph(ODD, raw.v_ext, raw.v_int, raw.edges,
                                  raw.loops, crosses)
-            sign *= _perm_sign_of(ranks)
+            sign *= perm_sign(ranks)
             cres = canonical_form(raw)
             if cres is None:
                 continue
@@ -208,12 +208,6 @@ def short_chord_substitution(g: DecoratedGraph,
             out.add_graph(canon, Fraction(sign * extra * w0
                                           * orientation_sign(canon)))
     return out
-
-
-def _perm_sign_of(seq) -> int:
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
 
 
 def short_chord_substitution_vector(v: GraphVector) -> GraphVector:

@@ -22,17 +22,33 @@ and cross renumberings (framed graphs, signed).  Graphs with a repeated
 
 ``canonical_form`` picks the lexicographically least representative of the
 decoration orbit and accumulates the sign; it returns ``None`` when the
-orbit identifies the graph with minus itself.
+orbit identifies the graph with minus itself.  The representative is
+compared as a row: the sorted (unordered) endpoint pairs of the edges, then
+for odd parity the sorted loop vertices and the sorted cross vertices.
+
+The least row is found without scanning the v_ext * v_int! relabellings.
+Read the upper triangle of the adjacency matrix row by row as a bitstring
+(the diagonal included, for the even parity's external loops).  Both the
+sorted pair list and the bitstring list the same pairs in the same order,
+so the pair list is least exactly when the bitstring is greatest.  Every
+internal label is larger than every external one, so for a fixed rotation
+of the externals the external rows come first, and they are greatest
+exactly when the internal vertices are ordered by their adjacency to the
+externals 1..v_ext: at the first external where two differ, the adjacent
+one comes first.  That gives an ordered partition of the internal vertices;
+the internal rows then pick the order inside it by individualization and
+refinement in the manner of McKay & Piperno ("Practical graph isomorphism
+II", 2014), branching only on ties and keeping every tie.  The surviving
+orderings of all rotations are exactly the relabellings whose row is least,
+so the representative and the sign check equal those of a scan over the
+whole orbit, which ``tests/test_graphs.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 ODD = "odd"
 EVEN = "even"
@@ -167,76 +183,87 @@ def validate(g: DecoratedGraph) -> list:
     if g.parity not in (ODD, EVEN):
         bad.append("unknown parity %r" % (g.parity,))
         return bad
-    if g.v_ext < 1:
+    v_ext = g.v_ext
+    if v_ext < 1:
         bad.append("need at least one external vertex")
     if g.v_int < 0:
         bad.append("negative internal vertex count")
-    n = g.num_vertices
+    n = v_ext + g.v_int
+    val = [0] * (max(n, 0) + 1)          # edge ends per vertex label
+    pairs = []                           # unordered endpoint pairs
+    joined = []                          # the edges between valid labels
     for a, b in g.edges:
         if not (1 <= a <= n and 1 <= b <= n):
             bad.append("edge (%d,%d) endpoint out of range" % (a, b))
-        elif a == b:
-            if g.parity == ODD:
-                bad.append("odd-parity loop (%d,%d) belongs in loops" % (a, b))
-            elif not g.is_external(a):
-                bad.append("internal small loop at %d" % a)
+        else:
+            if a == b:
+                if g.parity == ODD:
+                    bad.append("odd-parity loop (%d,%d) belongs in loops"
+                               % (a, b))
+                elif a > v_ext:
+                    bad.append("internal small loop at %d" % a)
+            val[a] += 1
+            val[b] += 1
+            joined.append((a, b))
+        pairs.append((a, b) if a <= b else (b, a))
     if g.parity == EVEN and (g.loops or g.crosses):
         bad.append("even parity carries no loop decorations or crosses")
-    for entry in g.loops:
-        v, of, af = entry
+    for v, of, af in g.loops:
         if not 1 <= v <= n:
             bad.append("small loop vertex %d out of range" % v)
-        elif not g.is_external(v):
-            bad.append("internal small loop at %d" % v)
+        else:
+            if v > v_ext:
+                bad.append("internal small loop at %d" % v)
+            val[v] += 2
         if of not in (0, 1) or af not in (0, 1):
             bad.append("bad small-loop decoration at %d" % v)
-    seen = {}
-    for pair in g.endpoint_pairs():
-        seen[pair] = seen.get(pair, 0) + 1
-    for pair, cnt in seen.items():
-        if cnt > 1:
-            bad.append("multiple edge between %d and %d" % pair)
-    cross_vertices = list(g.crosses)
-    for v in cross_vertices:
-        if not g.is_external(v):
+        pairs.append((v, v))
+    if len(set(pairs)) < len(pairs):
+        seen = {}
+        for pair in pairs:
+            seen[pair] = seen.get(pair, 0) + 1
+        bad.extend("multiple edge between %d and %d" % pair
+                   for pair, cnt in seen.items() if cnt > 1)
+    crosses = g.crosses
+    for v in crosses:
+        if not 1 <= v <= v_ext:
             bad.append("cross on non-external vertex %d" % v)
-    if len(set(cross_vertices)) != len(cross_vertices):
+    if len(set(crosses)) != len(crosses):
         bad.append("more than one cross on a vertex")
-    if g.crosses and any(v in g.crosses for v, _, _ in g.loops):
+    if crosses and any(v in crosses for v, _, _ in g.loops):
         bad.append("small loop on a crossed vertex")
-    val = g.valences()
-    for v in range(g.v_ext + 1, n + 1):
+    for v in range(v_ext + 1, n + 1):
         if val[v] < 3:
             bad.append("internal vertex %d has valence %d < 3" % (v, val[v]))
-    for v in range(1, g.v_ext + 1):
-        if val[v] == 0 and v not in cross_vertices:
+    for v in range(1, min(v_ext, n) + 1):
+        if val[v] == 0 and v not in crosses:
             bad.append("external vertex %d carries no edge end" % v)
-    if not _connected(g):
+    if not _connected(v_ext, n, joined):
         bad.append("graph is disconnected from the circle")
     return bad
 
 
-def _connected(g: DecoratedGraph) -> bool:
-    # The circle ties all external vertices together.
-    n = g.num_vertices
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for v in range(2, g.v_ext + 1):
-        union(v, 1)
-    for a, b in g.edges:
-        if 1 <= a <= n and 1 <= b <= n:
-            union(a, b)
-    roots = {find(v) for v in range(1, n + 1)}
-    return len(roots) <= 1
+def _connected(v_ext: int, n: int, pairs) -> bool:
+    """True if the edges ``pairs`` join all n vertices into one component,
+    the circle tying the externals 1..v_ext together."""
+    if n <= 1:
+        return True
+    nbrs = [[] for _ in range(n + 1)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    todo = list(range(1, min(v_ext, n) + 1)) or [1]
+    seen = [False] * (n + 1)
+    for v in todo:
+        seen[v] = True
+    reached = len(todo)
+    while todo:
+        for w in nbrs[todo.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                todo.append(w)
+    return reached == n
 
 
 def is_zero_by_relations(g: DecoratedGraph) -> bool:
@@ -258,150 +285,176 @@ def is_zero_by_relations(g: DecoratedGraph) -> bool:
 # canonical forms
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def perm_sign(seq) -> int:
+    """Sign of the permutation that sorts ``seq`` (distinct entries): -1
+    when the number of inversions is odd."""
+    inv = 0
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if x > y:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
+def _best_orders(cells, adj):
+    """Every ordering of the internal vertices that keeps the ordered cells
+    and makes the internal rows of the adjacency bitstring greatest.
+
+    ``cells`` is an ordered partition (lists of vertices) and ``adj[v]`` the
+    set of internal neighbours of v.  The vertex given the next label comes
+    from the first cell; its row is greatest when every later cell puts its
+    neighbours first, so the row is fixed by the choice and is recorded as
+    the neighbour count per cell.  Only the choices with the greatest row
+    survive.  Surviving states have equal rows so far, hence equal cell
+    sizes, so their rows compare entry by entry.
+    """
+    states = [((), cells)]
+    while states[0][1]:
+        if len(states) == 1 and all(len(cell) == 1 for cell in states[0][1]):
+            placed, cells = states[0]
+            return [placed + tuple(cell[0] for cell in cells)]
+        best = None
+        survivors = []
+        for placed, cells in states:
+            first, later = cells[0], cells[1:]
+            for v in first:
+                nb = adj[v]
+                rest = [u for u in first if u != v]
+                row = []
+                split = []
+                for cell in ([rest] + later if rest else later):
+                    inside = [u for u in cell if u in nb]
+                    row.append(len(inside))
+                    if inside:
+                        split.append(inside)
+                    if len(inside) < len(cell):
+                        split.append([u for u in cell if u not in nb])
+                if best is None or row > best:
+                    best = row
+                    survivors = []
+                if row == best:
+                    survivors.append((placed + (v,), split))
+        states = survivors
+    return [placed for placed, _ in states]
 
 
 @lru_cache(maxsize=None)
-def _orbit_maps(v_ext: int, v_int: int, signed_internal: bool):
-    """All allowed vertex relabellings as an array of label maps.
+def _pair_bits(n: int):
+    """``bits[a][b]``: the bit of the pair {a, b} in the upper-triangular
+    adjacency bitstring of n vertices, read row by row with the diagonal,
+    the first pair (1, 1) being the most significant."""
+    bits = [[0] * (n + 1) for _ in range(n + 1)]
+    pos = n * (n + 1) // 2
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            pos -= 1
+            bits[a][b] = bits[b][a] = 1 << pos
+    return bits
 
-    Returns ``(maps, signs)`` where ``maps[m][old] = new`` (index 0 unused)
-    and ``signs[m]`` is the sign of the rotation times, when
-    ``signed_internal``, the sign of the internal permutation.
-    """
+
+@lru_cache(maxsize=None)
+def _rotations(v_ext: int):
+    """``rotations[r]``: the new labels of externals 1..v_ext under the
+    rotation by r steps along the circle."""
+    return [[(x - 1 + r) % v_ext + 1 for x in range(1, v_ext + 1)]
+            for r in range(v_ext)]
+
+
+def _canonical(g: DecoratedGraph):
+    """Least representative and sign of a validated graph, or ``None``."""
+    v_ext, v_int = g.v_ext, g.v_int
     n = v_ext + v_int
-    rot_maps = []
-    rot_signs = []
+    bits = _pair_bits(n)
+    internals = range(v_ext + 1, n + 1)
+    # external neighbours of an internal vertex as a bitmask, bit v_ext - x
+    # standing for external x, so that a greater mask sorts first
+    ext_mask = dict.fromkeys(internals, 0)
+    adj = {u: set() for u in internals}
+    ext_edges = []
+    int_edges = []
+    for a, b in g.edges:
+        if a > v_ext and b > v_ext:
+            adj[a].add(b)
+            adj[b].add(a)
+            int_edges.append((a, b))
+        else:
+            ext_edges.append((a, b))
+            if a > v_ext:
+                ext_mask[a] |= 1 << (v_ext - b)
+            elif b > v_ext:
+                ext_mask[b] |= 1 << (v_ext - a)
+    rotations = _rotations(v_ext)
+    loop_vertices = [entry[0] for entry in g.loops]
+    full = (1 << v_ext) - 1
+    label = [0] * (n + 1)
+    best_ext = best_bits = -1
+    best_tail = None
+    best = []
+    cells = []
     for r in range(v_ext):
-        perm0 = [((i + r) % v_ext) for i in range(v_ext)]
-        rot_signs.append(_perm_sign(perm0))
-        rot_maps.append([0] + [p + 1 for p in perm0])
-    int_maps = []
-    int_signs = []
-    base = list(range(v_int))
-    for p in itertools.permutations(base):
-        int_maps.append([v_ext + 1 + x for x in p])
-        int_signs.append(_perm_sign(p) if signed_internal else 1)
-    maps = np.empty((v_ext * len(int_maps), n + 1), dtype=np.int64)
-    signs = np.empty(v_ext * len(int_maps), dtype=np.int64)
-    m = 0
-    for rmap, rsign in zip(rot_maps, rot_signs):
-        for imap, isign in zip(int_maps, int_signs):
-            maps[m, :v_ext + 1] = rmap
-            maps[m, v_ext + 1:] = imap
-            signs[m] = rsign * isign
-            m += 1
-    return maps, signs
+        label[1:v_ext + 1] = rotations[r]
+        if v_int:
+            # rotating the externals by r rotates every mask right by r
+            key = {u: ((m >> r) | (m << (v_ext - r))) & full
+                   for u, m in ext_mask.items()}
+            cells = []
+            for j, u in enumerate(sorted(internals, key=key.__getitem__,
+                                         reverse=True), v_ext + 1):
+                if cells and key[cells[-1][0]] == key[u]:
+                    cells[-1].append(u)
+                else:
+                    cells.append([u])
+                label[u] = j
+        # the external rows lead the bitstring and any order keeping the
+        # cells gives them the same bits, so most rotations lose here
+        ext_bits = sum([bits[label[a]][label[b]] for a, b in ext_edges])
+        if ext_bits < best_ext:
+            continue
+        leaves = _best_orders(cells, adj) if cells else [()]
+        for j, u in enumerate(leaves[0]):
+            label[u] = v_ext + 1 + j
+        total = ext_bits + sum([bits[label[a]][label[b]]
+                                for a, b in int_edges])
+        # the loops, then the crosses, break ties of the edges
+        tail = (sorted([label[v] for v in loop_vertices]),
+                sorted([label[v] for v in g.crosses]))
+        if total > best_bits or total == best_bits and tail < best_tail:
+            best_ext, best_bits, best_tail = ext_bits, total, tail
+            best = []
+        if total == best_bits and tail == best_tail:
+            best.extend((r, leaf) for leaf in leaves)
 
-
-def _row_inversion_signs(rows: np.ndarray) -> np.ndarray:
-    """Sign of the permutation sorting each row (entries assumed distinct)."""
-    m, n = rows.shape
-    if n < 2:
-        return np.ones(m, dtype=np.int64)
-    i, j = np.triu_indices(n, 1)
-    inv = (rows[:, i] > rows[:, j]).sum(axis=1)
-    return np.where(inv % 2 == 0, 1, -1).astype(np.int64)
-
-
-def _select_minimum(rows: np.ndarray, signs: np.ndarray):
-    """Index of the lexicographically least row, or None on a sign clash."""
-    if rows.shape[1] == 0:
-        if signs.min() != signs.max():
+    odd = g.parity == ODD
+    sign = None
+    for r, leaf in best:
+        label[1:v_ext + 1] = rotations[r]
+        for j, u in enumerate(leaf):
+            label[u] = v_ext + 1 + j
+        mapped = [(label[a], label[b]) for a, b in g.edges]
+        pairs = [(a, b) if a < b else (b, a) for a, b in mapped]
+        # a rotation by one step is a v_ext-cycle
+        s = -1 if (v_ext - 1) * r & 1 else 1
+        if odd:
+            s *= perm_sign(leaf) * perm_sign([label[v] for v in g.crosses])
+            flips = sum(of + af for _, of, af in g.loops) \
+                + sum([a > b for a, b in mapped])
+            if flips & 1:
+                s = -s
+        else:
+            s *= perm_sign(pairs)
+        if sign is None:
+            sign = s
+            edges = tuple(sorted(pairs))
+        elif s != sign:
             return None
-        return 0
-    idx = np.lexsort(rows.T[::-1])
-    best = idx[0]
-    eq = np.all(rows == rows[best], axis=1)
-    chosen = signs[eq]
-    if chosen.min() != chosen.max():
-        return None
-    return int(best)
-
-
-def _canonical_odd(g: DecoratedGraph):
-    maps, base_signs = _orbit_maps(g.v_ext, g.v_int, True)
-    m = maps.shape[0]
-    nv = g.num_vertices
-    sign0 = 1
-    for _, order_flag, arrow_flag in g.loops:
-        sign0 *= (-1) ** (order_flag + arrow_flag)
-
-    blocks = []
-    signs = base_signs * sign0
-    if g.edges:
-        tails = np.array([e[0] for e in g.edges])
-        heads = np.array([e[1] for e in g.edges])
-        t = maps[:, tails]
-        h = maps[:, heads]
-        flips = (t > h).sum(axis=1)
-        signs = signs * np.where(flips % 2 == 0, 1, -1)
-        codes = np.minimum(t, h) * (nv + 2) + np.maximum(t, h)
-        codes = np.sort(codes, axis=1)
-        blocks.append(codes)
-    if g.loops:
-        lv = np.array([entry[0] for entry in g.loops])
-        loops = np.sort(maps[:, lv], axis=1)
-        blocks.append(loops)
-    if g.crosses:
-        cv = np.array(list(g.crosses))
-        cvm = maps[:, cv]
-        signs = signs * _row_inversion_signs(cvm)
-        blocks.append(np.sort(cvm, axis=1))
-    rows = np.concatenate(blocks, axis=1) if blocks else np.zeros((m, 0), int)
-    best = _select_minimum(rows, signs)
-    if best is None:
-        return None
-    mapping = maps[best]
-    edges = tuple(sorted(
-        (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
-        for a, b in g.edges))
-    loops = tuple(sorted((int(mapping[entry[0]]), 0, 0) for entry in g.loops))
-    crosses = tuple(sorted(int(mapping[v]) for v in g.crosses))
-    canon = DecoratedGraph(ODD, g.v_ext, g.v_int,
-                           tuple((int(a), int(b)) for a, b in edges),
-                           loops, crosses)
-    return canon, int(signs[best])
-
-
-def _canonical_even(g: DecoratedGraph):
-    maps, base_signs = _orbit_maps(g.v_ext, g.v_int, False)
-    m = maps.shape[0]
-    nv = g.num_vertices
-    if g.edges:
-        us = np.array([min(e) for e in g.edges])
-        vs = np.array([max(e) for e in g.edges])
-        u = maps[:, us]
-        v = maps[:, vs]
-        codes = np.minimum(u, v) * (nv + 2) + np.maximum(u, v)
-        signs = base_signs * _row_inversion_signs(codes)
-        rows = np.sort(codes, axis=1)
+    loops, crosses = best_tail
+    if odd:
+        canon = DecoratedGraph(ODD, v_ext, v_int, edges,
+                               tuple((v, 0, 0) for v in loops),
+                               tuple(crosses))
     else:
-        signs = base_signs
-        rows = np.zeros((m, 0), int)
-    best = _select_minimum(rows, signs)
-    if best is None:
-        return None
-    mapping = maps[best]
-    relabeled = [(min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
-                 for a, b in g.edges]
-    edges = tuple((int(a), int(b)) for a, b in sorted(relabeled))
-    canon = DecoratedGraph(EVEN, g.v_ext, g.v_int, edges)
-    return canon, int(signs[best])
+        canon = DecoratedGraph(EVEN, v_ext, v_int, edges)
+    return canon, sign
 
 
 @lru_cache(maxsize=1 << 18)
@@ -412,15 +465,22 @@ def canonical_form(g: DecoratedGraph):
     quotient space, or ``None`` when the graph is zero (multiple edge,
     internal small loop, or a decoration change identifying it with minus
     itself).
+
+    The canonical graph is the relabelling with the least row (see the
+    module docstring): its edge pairs are least exactly when its adjacency
+    bitstring is greatest, which a refinement search finds for each
+    rotation; ties between rotations go to the loops, then the crosses.
+    The sign is the product of the rotation's, the internal permutation's,
+    one per reversed arrow and per flipped loop flag, and the cross
+    order's (odd), or the edge-label permutation's (even); it must agree
+    over every relabelling with the least row, else the graph is zero.
     """
     bad = validate(g)
     if bad:
         if is_zero_by_relations(g):
             return None
         raise ValueError("invalid graph: %s" % "; ".join(bad))
-    if g.parity == ODD:
-        return _canonical_odd(g)
-    return _canonical_even(g)
+    return _canonical(g)
 
 
 def is_canonical(g: DecoratedGraph) -> bool:

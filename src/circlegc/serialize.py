@@ -32,15 +32,45 @@ def _endpoint(g: DecoratedGraph, label: int) -> dict:
     return {"int": label - g.v_ext}
 
 
-def _endpoint_label(obj: dict, v_ext: int) -> int:
-    if "ext" in obj:
-        i = obj["ext"]
-        if not 1 <= i <= v_ext:
-            raise ValueError("external endpoint %r out of range" % (i,))
-        return i
-    if "int" in obj:
-        return v_ext + obj["int"]
-    raise ValueError("endpoint must name 'ext' or 'int'")
+def _field(obj, key):
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object, got %r" % (obj,))
+    if key not in obj:
+        raise ValueError("missing key %r" % (key,))
+    return obj[key]
+
+
+def _list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError("%r must be a list" % (key,))
+    return value
+
+
+def _int(value, what: str, low: int, high=None) -> int:
+    """``value`` if it is an integer (not a bool) in low..high."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < low or high is not None and value > high:
+        bounds = ">= %d" % low if high is None else "in %d..%d" % (low, high)
+        raise ValueError("%s must be an integer %s, got %r"
+                         % (what, bounds, value))
+    return value
+
+
+def _flag(obj: dict, key: str, flags: dict) -> int:
+    value = _field(obj, key)
+    if not isinstance(value, str) or value not in flags:
+        raise ValueError("%r must be one of %s, got %r"
+                         % (key, ", ".join(sorted(flags)), value))
+    return flags[value]
+
+
+def _endpoint_label(obj, v_ext: int, v_int: int) -> int:
+    if isinstance(obj, dict) and "ext" in obj:
+        return _int(obj["ext"], "external endpoint", 1, v_ext)
+    if isinstance(obj, dict) and "int" in obj:
+        return v_ext + _int(obj["int"], "internal endpoint", 1, v_int)
+    raise ValueError("endpoint must name 'ext' or 'int', got %r" % (obj,))
 
 
 def graph_to_dict(g: DecoratedGraph) -> dict:
@@ -63,30 +93,43 @@ def graph_to_dict(g: DecoratedGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> DecoratedGraph:
-    parity = data["parity"]
+    """The graph a JSON object describes; ``ValueError`` when a key is
+    missing, a count, label or endpoint is not an integer in range, or a
+    loop flag is unknown.  Whether the graph is usable (valences,
+    connectivity, multiple edges) is left to ``graphs.validate``."""
+    parity = _field(data, "parity")
     if parity not in (ODD, EVEN):
         raise ValueError("parity must be 'odd' or 'even'")
-    v_ext = data["v_ext"]
-    v_int = data["v_int"]
-    raw = data.get("edges", [])
+    v_ext = _int(_field(data, "v_ext"), "v_ext", 1)
+    v_int = _int(_field(data, "v_int"), "v_int", 0)
+    n = v_ext + v_int
+    raw = _list(data, "edges")
     if parity == EVEN:
-        raw = sorted(raw, key=lambda e: e["label"])
-        labels = [e["label"] for e in raw]
-        if labels != list(range(1, len(raw) + 1)):
+        labels = [_int(_field(e, "label"), "edge label", 1, len(raw))
+                  for e in raw]
+        if sorted(labels) != list(range(1, len(raw) + 1)):
             raise ValueError("even edge labels must be 1..e")
+        raw = [e for _, e in sorted(zip(labels, raw), key=lambda p: p[0])]
     edges = []
     for entry in raw:
-        a = _endpoint_label(entry["from"], v_ext)
-        b = _endpoint_label(entry["to"], v_ext)
+        a = _endpoint_label(_field(entry, "from"), v_ext, v_int)
+        b = _endpoint_label(_field(entry, "to"), v_ext, v_int)
+        if parity == ODD and a == b:
+            raise ValueError("odd edge from %d to itself: small loops go "
+                             "in 'small_loops'" % a)
         edges.append((a, b) if parity == ODD else (min(a, b), max(a, b)))
-    loops = tuple((entry["vertex"],
-                   _ORDER_FLAGS[entry["half_edge_order"]],
-                   _ARROW_FLAGS[entry["arrow"]])
-                  for entry in data.get("small_loops", []))
-    raw_crosses = sorted(data.get("crosses", []), key=lambda c: c["label"])
-    if [c["label"] for c in raw_crosses] != list(range(1, len(raw_crosses) + 1)):
+    loops = tuple((_int(_field(entry, "vertex"), "small-loop vertex", 1, n),
+                   _flag(entry, "half_edge_order", _ORDER_FLAGS),
+                   _flag(entry, "arrow", _ARROW_FLAGS))
+                  for entry in _list(data, "small_loops"))
+    raw_crosses = _list(data, "crosses")
+    labels = [_int(_field(c, "label"), "cross label", 1, len(raw_crosses))
+              for c in raw_crosses]
+    if sorted(labels) != list(range(1, len(raw_crosses) + 1)):
         raise ValueError("cross labels must be 1..x")
-    crosses = tuple(c["vertex"] for c in raw_crosses)
+    crosses = tuple(_int(_field(c, "vertex"), "cross vertex", 1, n)
+                    for _, c in sorted(zip(labels, raw_crosses),
+                                       key=lambda p: p[0]))
     return DecoratedGraph(parity, v_ext, v_int, tuple(edges), loops, crosses)
 
 

@@ -143,3 +143,56 @@ def test_basis_cache_truncated_file_recomputes(tmp_path, capsys,
     assert again == fresh
     assert path.read_text() == text
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+
+
+def test_basis_cache_malformed_graphs_recompute(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(tmp_path / "cache"))
+    argv = ("enumerate", "--parity", "odd", "--order", "2", "--degree", "0")
+    code, fresh = run(capsys, *argv)
+    assert code == 0
+    path = _cache_file(tmp_path)
+    text = path.read_text()
+    spoiled = [lambda g: g.update(v_ext="x"),         # does not parse
+               lambda g: g["edges"].reverse()]         # parses, not canonical
+    for spoil in spoiled:
+        data = json.loads(text)
+        spoil(data["graphs"][-1])
+        path.write_text(json.dumps(data))
+        code, again = run(capsys, *argv)
+        assert code == 0
+        assert again == fresh
+        assert path.read_text() == text
+
+
+def _chord(**changes):
+    """The odd single chord as ``delta --in`` reads it, with changes."""
+    data = {"parity": "odd", "v_ext": 2, "v_int": 0, "small_loops": [],
+            "crosses": [], "edges": [{"from": {"ext": 1}, "to": {"ext": 2},
+                                      "oriented": True}]}
+    data.update(changes)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    _chord(v_int=None),                                   # not an integer
+    _chord(v_ext="x"),
+    json.dumps({"parity": "odd", "v_ext": 2}),            # v_int missing
+    _chord(edges=[{"from": {"ext": 1}, "to": {"int": 5}}]),   # v_int is 0
+    _chord(edges=[{"from": {"ext": 1}, "to": {"ext": 1}}]),   # odd 1 -> 1
+    "[1, 2]",
+    '{"parity": "odd", ',                                 # truncated JSON
+])
+def test_delta_bad_input_exits_2_with_message(tmp_path, capsys, text):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(text)
+    assert main(["delta", "--in", str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("circlegc: error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    assert main(["delta", "--in", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("circlegc: error: ")

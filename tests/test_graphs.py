@@ -1,15 +1,21 @@
 """Gradings, validity relations, and signed canonical forms."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
                              DecoratedGraph, GraphVector, canonical_form,
                              degree, is_canonical, is_zero_by_relations,
-                             order, validate, combine)
-from circlegc.enumeration import basis
+                             order, perm_sign, validate, combine)
+from circlegc.enumeration import _decorate, _shapes_cached, basis, \
+    framed_basis
 
 from conftest import decorated_variant
 
@@ -127,3 +133,274 @@ def test_graph_vector_dedup_by_canonical_form():
     w.add_graph(DecoratedGraph(ODD, 2, 0, ((2, 1),)), Fraction(-1, 3))
     assert len(w.terms) == 1
     assert abs(w.terms[0][0]) == Fraction(2, 3)
+
+
+def test_perm_sign():
+    # inversion parity against the reference's cycle count below
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            assert perm_sign(perm) == _perm_sign(perm)
+    assert perm_sign([(1, 4), (1, 2), (2, 3)]) == -1      # any ordered items
+
+
+# ----------------------------------------------------------------------
+# reference: the orbit scan over all v_ext * v_int! relabellings, as
+# numpy arrays, that the refinement search in graphs.py replaced
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@lru_cache(maxsize=None)
+def _orbit_maps(v_ext: int, v_int: int, signed_internal: bool):
+    """All allowed vertex relabellings as an array of label maps.
+
+    Returns ``(maps, signs)`` where ``maps[m][old] = new`` (index 0 unused)
+    and ``signs[m]`` is the sign of the rotation times, when
+    ``signed_internal``, the sign of the internal permutation.
+    """
+    n = v_ext + v_int
+    rot_maps = []
+    rot_signs = []
+    for r in range(v_ext):
+        perm0 = [((i + r) % v_ext) for i in range(v_ext)]
+        rot_signs.append(_perm_sign(perm0))
+        rot_maps.append([0] + [p + 1 for p in perm0])
+    int_maps = []
+    int_signs = []
+    base = list(range(v_int))
+    for p in itertools.permutations(base):
+        int_maps.append([v_ext + 1 + x for x in p])
+        int_signs.append(_perm_sign(p) if signed_internal else 1)
+    maps = np.empty((v_ext * len(int_maps), n + 1), dtype=np.int64)
+    signs = np.empty(v_ext * len(int_maps), dtype=np.int64)
+    m = 0
+    for rmap, rsign in zip(rot_maps, rot_signs):
+        for imap, isign in zip(int_maps, int_signs):
+            maps[m, :v_ext + 1] = rmap
+            maps[m, v_ext + 1:] = imap
+            signs[m] = rsign * isign
+            m += 1
+    return maps, signs
+
+
+def _row_inversion_signs(rows: np.ndarray) -> np.ndarray:
+    """Sign of the permutation sorting each row (entries assumed distinct)."""
+    m, n = rows.shape
+    if n < 2:
+        return np.ones(m, dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
+    inv = (rows[:, i] > rows[:, j]).sum(axis=1)
+    return np.where(inv % 2 == 0, 1, -1).astype(np.int64)
+
+
+def _select_minimum(rows: np.ndarray, signs: np.ndarray):
+    """Index of the lexicographically least row, or None on a sign clash."""
+    if rows.shape[1] == 0:
+        if signs.min() != signs.max():
+            return None
+        return 0
+    idx = np.lexsort(rows.T[::-1])
+    best = idx[0]
+    eq = np.all(rows == rows[best], axis=1)
+    chosen = signs[eq]
+    if chosen.min() != chosen.max():
+        return None
+    return int(best)
+
+
+def _canonical_odd(g: DecoratedGraph):
+    maps, base_signs = _orbit_maps(g.v_ext, g.v_int, True)
+    m = maps.shape[0]
+    nv = g.num_vertices
+    sign0 = 1
+    for _, order_flag, arrow_flag in g.loops:
+        sign0 *= (-1) ** (order_flag + arrow_flag)
+
+    blocks = []
+    signs = base_signs * sign0
+    if g.edges:
+        tails = np.array([e[0] for e in g.edges])
+        heads = np.array([e[1] for e in g.edges])
+        t = maps[:, tails]
+        h = maps[:, heads]
+        flips = (t > h).sum(axis=1)
+        signs = signs * np.where(flips % 2 == 0, 1, -1)
+        codes = np.minimum(t, h) * (nv + 2) + np.maximum(t, h)
+        codes = np.sort(codes, axis=1)
+        blocks.append(codes)
+    if g.loops:
+        lv = np.array([entry[0] for entry in g.loops])
+        loops = np.sort(maps[:, lv], axis=1)
+        blocks.append(loops)
+    if g.crosses:
+        cv = np.array(list(g.crosses))
+        cvm = maps[:, cv]
+        signs = signs * _row_inversion_signs(cvm)
+        blocks.append(np.sort(cvm, axis=1))
+    rows = np.concatenate(blocks, axis=1) if blocks else np.zeros((m, 0), int)
+    best = _select_minimum(rows, signs)
+    if best is None:
+        return None
+    mapping = maps[best]
+    edges = tuple(sorted(
+        (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
+        for a, b in g.edges))
+    loops = tuple(sorted((int(mapping[entry[0]]), 0, 0) for entry in g.loops))
+    crosses = tuple(sorted(int(mapping[v]) for v in g.crosses))
+    canon = DecoratedGraph(ODD, g.v_ext, g.v_int,
+                           tuple((int(a), int(b)) for a, b in edges),
+                           loops, crosses)
+    return canon, int(signs[best])
+
+
+def _canonical_even(g: DecoratedGraph):
+    maps, base_signs = _orbit_maps(g.v_ext, g.v_int, False)
+    m = maps.shape[0]
+    nv = g.num_vertices
+    if g.edges:
+        us = np.array([min(e) for e in g.edges])
+        vs = np.array([max(e) for e in g.edges])
+        u = maps[:, us]
+        v = maps[:, vs]
+        codes = np.minimum(u, v) * (nv + 2) + np.maximum(u, v)
+        signs = base_signs * _row_inversion_signs(codes)
+        rows = np.sort(codes, axis=1)
+    else:
+        signs = base_signs
+        rows = np.zeros((m, 0), int)
+    best = _select_minimum(rows, signs)
+    if best is None:
+        return None
+    mapping = maps[best]
+    relabeled = [(min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
+                 for a, b in g.edges]
+    edges = tuple((int(a), int(b)) for a, b in sorted(relabeled))
+    canon = DecoratedGraph(EVEN, g.v_ext, g.v_int, edges)
+    return canon, int(signs[best])
+
+
+def reference_canonical_form(g: DecoratedGraph):
+    bad = validate(g)
+    if bad:
+        if is_zero_by_relations(g):
+            return None
+        raise ValueError("invalid graph: %s" % "; ".join(bad))
+    if g.parity == ODD:
+        return _canonical_odd(g)
+    return _canonical_even(g)
+
+
+def _labelled_shapes(parity, k, m):
+    """The decorated shapes ``basis(parity, k, m)`` canonicalizes."""
+    for v_int in range(0, 2 * k - m):
+        v_ext = 2 * k - v_int - m
+        e = k + v_int
+        if v_ext < 1 or e < 1:
+            continue
+        min_val = (1,) * v_ext + (3,) * v_int
+        for shape in _shapes_cached(v_ext, v_int, e, min_val):
+            yield _decorate(parity, v_ext, v_int, shape)
+
+
+def _framed_shapes(k, m):
+    """The decorated crossed shapes ``framed_basis(k, m)`` canonicalizes."""
+    for x in range(0, k + 1):
+        k0, m0 = k - x, m - x
+        for v_int in itertools.count(0):
+            v_ext = 2 * k0 - v_int - m0
+            e = k0 + v_int
+            if v_ext < 1 or e < 0 or e == 0 and v_int > 0:
+                break
+            for crossed in itertools.combinations(range(1, v_ext + 1), x):
+                min_val = tuple(0 if v in crossed else 1
+                                for v in range(1, v_ext + 1)) + (3,) * v_int
+                for shape in _shapes_cached(v_ext, v_int, e, min_val):
+                    yield _decorate(ODD, v_ext, v_int, shape, crossed)
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_canonical_form_equals_orbit_scan_on_all_shapes(parity):
+    # order 5 at degrees 5..7 has internal twins next to several externals
+    # (e.g. v_ext = 3, v_int = 2), which order 4 does not reach
+    cases = [(k, m) for k in (1, 2, 3, 4) for m in range(2 * k)] \
+        + [(5, m) for m in (5, 6, 7)]
+    for k, m in cases:
+        for g in _labelled_shapes(parity, k, m):
+            assert canonical_form(g) == reference_canonical_form(g), g
+
+
+def test_canonical_form_equals_orbit_scan_on_framed_shapes():
+    for k in (1, 2, 3):
+        for m in range(2 * k):
+            for g in _framed_shapes(k, m):
+                assert canonical_form(g) == reference_canonical_form(g), g
+
+
+@lru_cache(maxsize=None)
+def _basis_graphs():
+    graphs = [g for parity in (ODD, EVEN) for k in (1, 2, 3, 4)
+              for m in range(2 * k) for g in basis(parity, k, m)]
+    return graphs + [g for k in (1, 2, 3) for m in range(2 * k)
+                     for g in framed_basis(k, m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_form_equals_orbit_scan_on_decorated_variants(data):
+    pool = _basis_graphs()
+    g = pool[data.draw(st.integers(0, len(pool) - 1))]
+    h, _ = decorated_variant(g, random.Random(data.draw(st.integers(0, 9999))))
+    assert canonical_form(h) == reference_canonical_form(h)
+
+
+def test_canonical_form_equals_orbit_scan_on_order5_sample():
+    """Order-5 shapes of degrees 2..4 with at least three externals and
+    three internals: the internal order is then fixed partly by the
+    externals and partly by the refinement."""
+    rng = random.Random(5)
+    shapes = [(v_ext, v_int, shape) for m in (2, 3, 4)
+              for v_int in range(3, 8 - m)
+              for v_ext in [10 - v_int - m]
+              for shape in _shapes_cached(v_ext, v_int, 5 + v_int,
+                                          (1,) * v_ext + (3,) * v_int)]
+    for v_ext, v_int, shape in rng.sample(shapes, 600):
+        g = _decorate(rng.choice([ODD, EVEN]), v_ext, v_int, shape)
+        h, _ = decorated_variant(g, rng)
+        for graph in (g, h):
+            assert canonical_form(graph) == reference_canonical_form(graph), \
+                graph
+
+
+def test_canonical_form_equals_orbit_scan_at_order5_high_v_int():
+    """Degree-0 shapes with 7 to 9 internal vertices, where the scan runs
+    over up to 9! relabellings (building the 9! maps alone takes seconds,
+    hence one shape there)."""
+    rng = random.Random(20261018)
+    try:
+        for v_int, count in ((7, 6), (8, 3), (9, 1)):
+            v_ext = 10 - v_int
+            shapes = _shapes_cached(v_ext, v_int, 5 + v_int,
+                                    (1,) * v_ext + (3,) * v_int)
+            for shape in rng.sample(shapes, count):
+                g = _decorate(rng.choice([ODD, EVEN]), v_ext, v_int, shape)
+                h, _ = decorated_variant(g, rng)
+                for graph in (g, h):
+                    assert canonical_form(graph) == \
+                        reference_canonical_form(graph), graph
+    finally:
+        _orbit_maps.cache_clear()

@@ -15,6 +15,8 @@ from circlegc.homology import (SparseRationalMatrix, _kernel, _rank,
                                verify_cocycle)
 from circlegc.cocycles import (order2_cocycle, order3_cocycle_even,
                                order3_cocycle_odd)
+from circlegc.framed import delta_underline
+from circlegc.weights import a_space_dim
 
 def _dense_rank(rows, ncols) -> int:
     """Reference: dense Gaussian elimination on Fractions (mutates rows)."""
@@ -172,6 +174,16 @@ def test_order4_tables_and_euler_identity(parity):
     euler = sum((-1) ** m * d for m, d in enumerate(dim_c))
     assert euler == sum((-1) ** m * d for m, d in enumerate(dim_h))
     assert euler == {ODD: 4, EVEN: 2}[parity]
+
+
+def test_order5_degree0_pinned_to_chord_diagram_dimensions():
+    """Bar-Natan, "On the Vassiliev knot invariants" (Topology 1995): odd
+    H^{5,0} = dim A_5/(1T) = 4, and the underline H^{5,0} = dim A_5 = 10."""
+    assert [len(basis(p, 5, m)) for p in (ODD, EVEN) for m in (0, 1)] \
+        == [589, 2343, 551, 2347]
+    assert cohomology(ODD, 5, 0).dim_H == 4
+    assert cohomology(ODD, 5, 0, op=delta_underline).dim_H == 10
+    assert a_space_dim(5) == 10
 
 
 def test_delta_matrix_squares_to_zero():

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
                              DecoratedGraph, GraphVector)
@@ -99,3 +101,60 @@ def test_dot_even_edges_are_undirected_and_labelled():
     dot = graph_to_dot(g)
     assert dot.count("dir=none") == 2
     assert 'label="1"' in dot and 'label="2"' in dot
+
+
+# Valid payloads covering every field: odd edges, small loops and crosses,
+# internal vertices, and even edge labels with an external loop.
+FUZZ_SEEDS = [
+    DecoratedGraph(ODD, 3, 1, ((1, 4), (4, 2), (3, 4))),
+    DecoratedGraph(ODD, 3, 0, ((1, 2),), ((3, 1, 0),), (2,)),
+    DecoratedGraph(EVEN, 3, 1, ((1, 4), (2, 4), (3, 3), (3, 4))),
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.floats(allow_nan=False) | st.text(max_size=3)
+    | st.sampled_from(["odd", "even", "with_circle", "against_order"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["ext", "int", "label", "vertex", "from", "to",
+                         "arrow", "half_edge_order"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid graph payload with one to three entries deleted or replaced
+    by arbitrary JSON values."""
+    data = graph_to_dict(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        if not path:
+            data = draw(json_values)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_payloads())
+def test_malformed_payloads_raise_value_error_only(data):
+    try:
+        g = graph_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(g, DecoratedGraph)
+    assert graph_from_dict(graph_to_dict(g)) == g
