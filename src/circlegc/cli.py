@@ -22,10 +22,10 @@ from .coboundary import delta
 from .enumeration import basis, framed_basis
 from .homology import cohomology
 from .framed import delta_framed, delta_underline
-from .weights import ChordDiagram, gl_weight, a_space_dim
+from .weights import gl_weight, a_space_dim
 from .faces import audit_graph
-from .serialize import (dumps, graph_to_dict, graph_from_dict,
-                        graph_to_dot, vector_to_dict)
+from .serialize import (diagram_from_dict, dumps, graph_to_dict,
+                        graph_from_dict, graph_to_dot, vector_to_dict)
 from .verification import SUITES, run_suite, basis_ordering
 
 CACHE_ENV = "CIRCLEGC_BASIS_CACHE"
@@ -137,11 +137,7 @@ def cmd_verify(args):
 
 
 def cmd_weight(args):
-    data = _read_json(args.diagram)
-    d = ChordDiagram(tuple(tuple(sorted(p)) for p in data["chords"]),
-                     data.get("mark"))
-    d.validate()
-    w = gl_weight(d)
+    w = gl_weight(diagram_from_dict(_read_json(args.diagram)))
     payload = {"tool": "circlegc", "version": __version__,
                "weight": {str(p): c for p, c in sorted(w.coeffs.items())},
                "text": repr(w)}

@@ -6,14 +6,45 @@ external vertices.  Internal vertices need valence 3, external vertices
 valence 1 (crossed external vertices may be bare), and the total slack
 2e - 3 v_i - v_ext equals m, so for m < 0 there is nothing and for m = 0
 the valences are exact.  Underlying simple graphs are generated by a
-depth-first search over the sorted endpoint pairs, row by row.  The search
-keeps the valence deficit (edge ends still missing below the minimum
-valences) and excess (ends above them) as running counts, updated as each
-edge end is added or removed.  A branch stops when the excess passes the
-slack, when the remaining edges cannot cover the deficit, or when it has
-passed the row of a vertex still below its minimum valence: no later pair
-reaches that vertex.  Each shape is then decorated in a fixed way,
-canonicalized, and deduped.
+depth-first search over the sorted endpoint pairs, row by row, introducing
+the anonymous internal vertices in label order.  The search keeps the
+valence deficit (edge ends still missing below the minimum valences) and
+excess (ends above them) as running counts, updated as each edge end is
+added or removed.  A branch stops when the excess passes the slack, when
+the remaining edges cannot cover the deficit, or when it has passed the row
+of a vertex still below its minimum valence: no later pair reaches that
+vertex.
+
+The search also drops every labelled shape whose external rows (the pairs
+(a, b) with a <= v_ext) cannot lead the greatest adjacency bitstring of
+its class, read as in ``graphs`` with the small loops on the diagonal.
+Write the external neighbours of an internal vertex as a mask, bit
+v_ext - x standing for external x.  A shape survives only if
+
+(a) its internal vertices have non-increasing masks, which the search
+    enforces as each pair is added: a new bit is the lowest set so far, so
+    two masks it puts in the wrong order stay so; and
+(b) no rotation r = 1..v_ext-1 of the externals, with the internal
+    vertices re-sorted by their rotated masks, gives the external rows
+    strictly more bits (ties survive).  This is checked once per branch,
+    at the first pair past row v_ext, or at a leaf that has none.
+
+Both use the ordering of ``graphs._canonical``, (b) through the same
+``graphs._external_rows``.  No class is lost.  In each class take the
+relabelling with the greatest bitstring; the bitstring fixes the labelled
+shape.  Its internal vertices first appear in label order (else exchanging
+the first one out of order with the least unused label gives a greater
+bitstring), so the search reaches its shape.  Its masks do not increase and
+no rotation beats its external rows, since either would give a relabelling
+with a greater bitstring, the external rows leading it.  So it survives.
+The crosses of the framed spaces play no part: a rotation moves them with
+the shape, and each set of crossed positions is searched.  The prune is the
+same for both parities.  In the even parity the surviving shape of a class
+is its canonical one; the odd canonical form leaves the small loops out of
+its bitstring and breaks ties with them afterwards, so there the survivor
+may be another member of the class, which is all the search needs.  Ties in
+(b) and the internal rows can leave several shapes per class, so each
+surviving shape is decorated in a fixed way, canonicalized, and deduped.
 """
 
 from __future__ import annotations
@@ -22,13 +53,28 @@ import itertools
 from functools import lru_cache
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
-                     _connected, canonical_form)
+                     _connected, _external_rows, _pair_bits, canonical_form)
+
+
+def _rotations_lose(v_ext: int, mask: list, pairs) -> bool:
+    """Test (b) on the external rows ``pairs``, where ``mask[u]`` is the
+    non-increasing mask of internal vertex u: True when no rotation gives
+    them more bits than they have."""
+    n = len(mask) - 1
+    ext_mask = {u: mask[u] for u in range(v_ext + 1, n + 1)}
+    bits = _pair_bits(n)
+    label = [0] * (n + 1)
+    # the masks do not increase, so rotation 0 keeps every label
+    own = sum([bits[a][b] for a, b in pairs])
+    return all(_external_rows(r, v_ext, ext_mask, pairs, bits, label)[0]
+               <= own for r in range(1, v_ext))
 
 
 def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
-    """All connected simple shapes: sorted tuples of distinct endpoint
-    pairs (a, b), a <= b, loops only on external vertices, meeting the
-    per-vertex minimum valences exactly up to the global slack."""
+    """The connected simple shapes that pass (a) and (b): sorted tuples of
+    distinct endpoint pairs (a, b), a <= b, loops only on external
+    vertices, meeting the per-vertex minimum valences exactly up to the
+    global slack."""
     nv = v_ext + v_int
     slack = 2 * e - sum(min_val)
     if slack < 0:
@@ -41,6 +87,7 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
             pool.append((a, b))
     out = []
     val = [0] * (nv + 1)
+    mask = [0] * (nv + 1)                # external masks, for (a) and (b)
     need_val = (0,) + tuple(min_val)
     # running sums of max(0, min_val - val) and max(0, val - min_val) over
     # the vertices, updated one edge end at a time
@@ -50,8 +97,11 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
     def grow(idx, chosen, max_int_used):
         nonlocal deficit, excess
         need = e - len(chosen)
+        # the external rows are still open until a pair past row v_ext
+        ext_open = not chosen or chosen[-1][0] <= v_ext
         if need == 0:
-            if deficit == 0 and _connected(v_ext, nv, chosen):
+            if deficit == 0 and (not ext_open or _rotations_lose(
+                    v_ext, mask, chosen)) and _connected(v_ext, nv, chosen):
                 out.append(tuple(chosen))
             return
         if len(pool) - idx < need or deficit > 2 * need:
@@ -64,11 +114,21 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
             if a != row:
                 if val[row] < need_val[row]:
                     break
+                # every later pair keeps the external rows as chosen
+                if ext_open and a > v_ext:
+                    if not _rotations_lose(v_ext, mask, chosen):
+                        break
+                    ext_open = False
                 row = a
             hi_int = b if b > v_ext else 0
             # introduce anonymous internal slots in label order
             if hi_int and hi_int > max_int_used + 1:
                 continue
+            bit = 1 << (v_ext - a) if a <= v_ext < b else 0
+            # (a): the masks may not increase
+            if bit and b > v_ext + 1 and mask[b - 1] < mask[b] | bit:
+                continue
+            mask[b] |= bit
             for v in (a, b):
                 if val[v] < need_val[v]:
                     deficit -= 1
@@ -85,6 +145,7 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
                     deficit += 1
                 else:
                     excess -= 1
+            mask[b] ^= bit
 
     grow(0, [], v_ext)
     return out

@@ -360,14 +360,40 @@ def _rotations(v_ext: int):
             for r in range(v_ext)]
 
 
+def _external_rows(r: int, v_ext: int, ext_mask: dict, ext_edges, bits,
+                   label: list):
+    """The external rows of the rotation by r steps: the bits they give
+    ``ext_edges`` and the ordered cells of the internal vertices.
+
+    ``ext_mask`` maps each internal vertex, in label order, to its external
+    neighbours as a bitmask, bit v_ext - x standing for external x, so that
+    a greater mask sorts first.  The externals are labelled by the rotation
+    and the internals by their rotated masks, greatest first, equal masks
+    kept in label order as one cell; the labels are written into ``label``.
+    Any order keeping the cells gives the external rows the same bits.
+    """
+    label[1:v_ext + 1] = _rotations(v_ext)[r]
+    full = (1 << v_ext) - 1
+    # rotating the externals by r rotates every mask right by r
+    key = {u: ((m >> r) | (m << (v_ext - r))) & full
+           for u, m in ext_mask.items()}
+    cells = []
+    for j, u in enumerate(sorted(key, key=key.__getitem__, reverse=True),
+                          v_ext + 1):
+        if cells and key[cells[-1][0]] == key[u]:
+            cells[-1].append(u)
+        else:
+            cells.append([u])
+        label[u] = j
+    return sum([bits[label[a]][label[b]] for a, b in ext_edges]), cells
+
+
 def _canonical(g: DecoratedGraph):
     """Least representative and sign of a validated graph, or ``None``."""
     v_ext, v_int = g.v_ext, g.v_int
     n = v_ext + v_int
     bits = _pair_bits(n)
     internals = range(v_ext + 1, n + 1)
-    # external neighbours of an internal vertex as a bitmask, bit v_ext - x
-    # standing for external x, so that a greater mask sorts first
     ext_mask = dict.fromkeys(internals, 0)
     adj = {u: set() for u in internals}
     ext_edges = []
@@ -385,29 +411,14 @@ def _canonical(g: DecoratedGraph):
                 ext_mask[b] |= 1 << (v_ext - a)
     rotations = _rotations(v_ext)
     loop_vertices = [entry[0] for entry in g.loops]
-    full = (1 << v_ext) - 1
     label = [0] * (n + 1)
     best_ext = best_bits = -1
     best_tail = None
     best = []
-    cells = []
     for r in range(v_ext):
-        label[1:v_ext + 1] = rotations[r]
-        if v_int:
-            # rotating the externals by r rotates every mask right by r
-            key = {u: ((m >> r) | (m << (v_ext - r))) & full
-                   for u, m in ext_mask.items()}
-            cells = []
-            for j, u in enumerate(sorted(internals, key=key.__getitem__,
-                                         reverse=True), v_ext + 1):
-                if cells and key[cells[-1][0]] == key[u]:
-                    cells[-1].append(u)
-                else:
-                    cells.append([u])
-                label[u] = j
-        # the external rows lead the bitstring and any order keeping the
-        # cells gives them the same bits, so most rotations lose here
-        ext_bits = sum([bits[label[a]][label[b]] for a, b in ext_edges])
+        # the external rows lead the bitstring, so most rotations lose here
+        ext_bits, cells = _external_rows(r, v_ext, ext_mask, ext_edges, bits,
+                                         label)
         if ext_bits < best_ext:
             continue
         leaves = _best_orders(cells, adj) if cells else [()]

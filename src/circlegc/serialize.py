@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .graphs import ODD, EVEN, AGAINST_CIRCLE, AGAINST_ORDER, \
     DecoratedGraph, GraphVector
+from .weights import ChordDiagram
 
 _ORDER_NAMES = {0: "with_circle", 1: "against_circle"}
 _ARROW_NAMES = {0: "with_order", 1: "against_order"}
@@ -131,6 +132,31 @@ def graph_from_dict(data: dict) -> DecoratedGraph:
                     for _, c in sorted(zip(labels, raw_crosses),
                                        key=lambda p: p[0]))
     return DecoratedGraph(parity, v_ext, v_int, tuple(edges), loops, crosses)
+
+
+def diagram_from_dict(data) -> ChordDiagram:
+    """The chord diagram ``{"chords": [[a, b], ...], "mark": m}`` describes;
+    ``ValueError`` when it is not an object, ``chords`` is missing or not a
+    list of pairs of integers, ``mark`` is neither null nor an integer, or
+    ``ChordDiagram.validate`` rejects the positions."""
+    chords = _field(data, "chords")
+    if not isinstance(chords, list):
+        raise ValueError("'chords' must be a list")
+    pairs = []
+    for pair in chords:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("a chord must be a pair of positions, got %r"
+                             % (pair,))
+        a, b = (_int(p, "chord endpoint", 1) for p in pair)
+        pairs.append((min(a, b), max(a, b)))
+    mark = data.get("mark")
+    if mark is not None and (isinstance(mark, bool)
+                             or not isinstance(mark, int)):
+        raise ValueError("'mark' must be null or an integer, got %r"
+                         % (mark,))
+    d = ChordDiagram(tuple(pairs), mark)
+    d.validate()
+    return d
 
 
 def dumps(obj) -> str:

@@ -9,9 +9,9 @@ assembled report serializes byte-identically across runs.  The CLI
 from __future__ import annotations
 
 from . import __version__
-from .graphs import ODD, EVEN
+from .graphs import ODD, EVEN, canonical_form
 from .coboundary import delta, delta_vector
-from .enumeration import basis, framed_basis
+from .enumeration import _shapes_cached, basis, framed_basis
 from .homology import (cohomology, delta_matrix, _rank)
 from .framed import (delta_framed, delta_framed_vector, delta_underline,
                      delta_underline_vector, short_chord_substitution,
@@ -299,10 +299,13 @@ def criterion_faces_suite() -> dict:
 
 
 def criterion_determinism() -> dict:
-    """A representative sub-report recomputes to identical bytes.  The
+    """A representative sub-report recomputes to identical bytes, the
+    second time with the canonical forms and the shape search cold.  The
     full end-to-end check reruns the CLI and compares whole files; this
-    in-process version guards the serialization path."""
+    in-process version guards the caches and the serialization path."""
     first = dumps([criterion_order2_cocycle(), criterion_h10_vanishes()])
+    canonical_form.cache_clear()
+    _shapes_cached.cache_clear()
     second = dumps([criterion_order2_cocycle(), criterion_h10_vanishes()])
     return {"name": "determinism", "passed": first == second,
             "detail": {"bytes": len(first)}}

@@ -5,11 +5,14 @@ detailed per-property coverage lives in the other test modules, while
 this file asserts the headline criteria end to end.
 """
 
+import os
 import subprocess
 import sys
 import time
 
 from circlegc import verification as vf
+from circlegc.enumeration import basis
+from circlegc.graphs import ODD, canonical_form
 
 
 def _report(num, result):
@@ -67,12 +70,14 @@ def test_criterion_10_faces_suite():
 def test_criterion_11_determinism(tmp_path):
     start = time.monotonic()
     reports = []
-    for name in ("r1.json", "r2.json"):
-        path = tmp_path / name
+    # two fixed, distinct hash seeds: set and dict order must not leak
+    for seed in ("0", "1"):
+        path = tmp_path / ("r%s.json" % seed)
         proc = subprocess.run(
             [sys.executable, "-m", "circlegc.cli", "verify", "--suite",
              "all", "--report", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
         assert proc.returncode == 0, proc.stderr
         reports.append(path.read_bytes())
     elapsed = time.monotonic() - start
@@ -80,3 +85,13 @@ def test_criterion_11_determinism(tmp_path):
     print("criterion 11 (determinism): %s" % ("PASS" if ok else "FAIL"))
     assert reports[0] == reports[1]
     assert elapsed < 900
+
+
+def test_determinism_criterion_recomputes_cold(monkeypatch):
+    """The in-process determinism check can fail: a result that depends on
+    the cache state differs, since the second computation starts with the
+    canonical forms cold."""
+    basis(ODD, 3, 1)                    # misses beyond the sub-report's own
+    monkeypatch.setattr(vf, "criterion_h10_vanishes",
+                        lambda: canonical_form.cache_info().misses)
+    assert not vf.criterion_determinism()["passed"]

@@ -196,3 +196,23 @@ def test_delta_bad_input_exits_2_with_message(tmp_path, capsys, text):
 def test_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["delta", "--in", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().err.startswith("circlegc: error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "{}",                                                 # chords missing
+    '{"chords": [[1, "x"]]}',
+    "[1]",
+    '{"chords": 5}',
+    '{"chords": [[1, 2, 3]]}',
+    '{"chords": [[true, 2]]}',                            # bools rejected
+    '{"chords": [[1, 2]], "mark": "a"}',
+    '{"chords": [[1, 3]]}',                               # 2 and 4 missed
+])
+def test_weight_bad_diagram_exits_2_with_message(tmp_path, capsys, text):
+    dfile = tmp_path / "d.json"
+    dfile.write_text(text)
+    assert main(["weight", "--gl", "--diagram", str(dfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("circlegc: error: ")
+    assert "Traceback" not in captured.err

@@ -9,6 +9,9 @@ from circlegc.graphs import (ODD, EVEN, DecoratedGraph, canonical_form,
                              degree, is_canonical, order, validate)
 from circlegc.enumeration import basis, framed_basis, trivalent_basis
 
+from conftest import (reference_framed_shapes, reference_labelled_shapes,
+                      reference_shapes)
+
 CROSSING = DecoratedGraph(ODD, 4, 0, ((1, 3), (2, 4)))
 TRIPOD = DecoratedGraph(ODD, 3, 1, ((1, 4), (2, 4), (3, 4)))
 
@@ -83,98 +86,63 @@ def test_framed_basis_contains_bare_crossed_vertex():
 
 
 # ----------------------------------------------------------------------
-# reference: the shape search that recomputed the valence deficit and
-# excess over all vertices at every search node
+# the pruned shape search against the exhaustive reference in conftest.py
+
+# order 5 at degrees 5..7 has internal twins next to several externals
+# (e.g. v_ext = 3, v_int = 2), which order 4 does not reach
+CASES = [(k, m) for k in (1, 2, 3, 4) for m in range(2 * k + 2)] \
+    + [(5, m) for m in (5, 6, 7)]
 
 
-def _connected(v_ext: int, v_int: int, pairs) -> bool:
-    """All vertices in one component, the circle tying the externals."""
-    parent = list(range(v_ext + v_int + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for v in range(2, v_ext + 1):
-        union(1, v)
-    for a, b in pairs:
-        union(a, b)
-    root = find(1)
-    return all(find(v) == root for v in range(1, v_ext + v_int + 1))
-
-
-def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
-    """All connected simple shapes: sorted tuples of distinct endpoint
-    pairs (a, b), a <= b, loops only on external vertices, meeting the
-    per-vertex minimum valences exactly up to the global slack."""
-    nv = v_ext + v_int
-    slack = 2 * e - sum(min_val)
-    if slack < 0:
-        return []
-    pool = []
-    for a in range(1, nv + 1):
-        if a <= v_ext:
-            pool.append((a, a))
-        for b in range(a + 1, nv + 1):
-            pool.append((a, b))
-    out = []
-    val = [0] * (nv + 1)
-
-    def deficit():
-        return sum(max(0, min_val[v - 1] - val[v]) for v in range(1, nv + 1))
-
-    def excess():
-        return sum(max(0, val[v] - min_val[v - 1]) for v in range(1, nv + 1))
-
-    def grow(idx, chosen, max_int_used):
-        need = e - len(chosen)
-        if need == 0:
-            if deficit() == 0 and _connected(v_ext, v_int, chosen):
-                out.append(tuple(chosen))
-            return
-        if len(pool) - idx < need or deficit() > 2 * need:
-            return
-        for j in range(idx, len(pool)):
-            a, b = pool[j]
-            hi_int = max(a, b) if max(a, b) > v_ext else 0
-            # introduce anonymous internal slots in label order
-            if hi_int and hi_int > max_int_used + 1:
-                continue
-            val[a] += 1
-            val[b] += 1
-            if excess() <= slack:
-                chosen.append((a, b))
-                grow(j + 1, chosen, max(max_int_used, hi_int))
-                chosen.pop()
-            val[a] -= 1
-            val[b] -= 1
-
-    grow(0, [], v_ext)
-    return out
-
-
-def test_shape_search_equals_reference():
-    cases = [(k, m) for k in (1, 2, 3, 4) for m in range(2 * k)] \
-        + [(5, m) for m in (5, 6, 7)]
+def _search_args():
+    """(v_ext, v_int, e, min_val) for every search the cases run, and for
+    framed minimum valences (crossed externals may be bare)."""
     args = []
-    for k, m in cases:
+    for k, m in CASES:
         for v_int in range(0, 2 * k - m):
             v_ext = 2 * k - v_int - m
             args.append((v_ext, v_int, k + v_int,
                          (1,) * v_ext + (3,) * v_int))
-    # framed minimum valences: crossed externals may be bare
     for k0, m0 in itertools.product((0, 1, 2, 3), (-1, 0, 1, 2)):
         for v_int in range(0, 2 * k0 - m0):
             v_ext = 2 * k0 - v_int - m0
             for x in range(1, min(v_ext, 3) + 1):
                 args.append((v_ext, v_int, k0 + v_int,
                              (0,) * x + (1,) * (v_ext - x) + (3,) * v_int))
-    for a in args:
-        assert enumeration._underlying_shapes(*a) == _underlying_shapes(*a), a
+    return args
+
+
+def test_shape_search_is_an_ordered_sublist_of_reference():
+    for a in _search_args():
+        everything = reference_shapes(*a)
+        pruned = enumeration._underlying_shapes(*a)
+        rest = iter(everything)
+        assert all(shape in rest for shape in pruned), a
+        # a rotation keeps uniform minimum valences, so the greatest shape
+        # of every class is among these; it moves crossed (bare) ones
+        if 0 not in a[3]:
+            assert bool(pruned) == bool(everything), a
+
+
+def _classes(graphs):
+    """The sorted, deduped nonzero canonical forms of ``graphs``."""
+    found = {}
+    for g in graphs:
+        res = canonical_form(g)
+        if res is not None:
+            found[res[0].sort_key()] = res[0]
+    return [found[key] for key in sorted(found)]
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_basis_equals_classes_of_all_reference_shapes(parity):
+    for k, m in CASES:
+        assert basis(parity, k, m) == \
+            _classes(reference_labelled_shapes(parity, k, m)), (k, m)
+
+
+def test_framed_basis_equals_classes_of_all_reference_shapes():
+    for k in (1, 2, 3):
+        for m in range(2 * k + 2):
+            assert framed_basis(k, m) == \
+                _classes(reference_framed_shapes(k, m)), (k, m)

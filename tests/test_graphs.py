@@ -14,10 +14,10 @@ from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
                              DecoratedGraph, GraphVector, canonical_form,
                              degree, is_canonical, is_zero_by_relations,
                              order, perm_sign, validate, combine)
-from circlegc.enumeration import _decorate, _shapes_cached, basis, \
-    framed_basis
+from circlegc.enumeration import _decorate, basis, framed_basis
 
-from conftest import decorated_variant
+from conftest import (decorated_variant, reference_framed_shapes,
+                      reference_labelled_shapes, reference_shapes)
 
 CROSSING = DecoratedGraph(ODD, 4, 0, ((1, 3), (2, 4)))
 TRIPOD = DecoratedGraph(ODD, 3, 1, ((1, 4), (2, 4), (3, 4)))
@@ -305,34 +305,6 @@ def reference_canonical_form(g: DecoratedGraph):
     return _canonical_even(g)
 
 
-def _labelled_shapes(parity, k, m):
-    """The decorated shapes ``basis(parity, k, m)`` canonicalizes."""
-    for v_int in range(0, 2 * k - m):
-        v_ext = 2 * k - v_int - m
-        e = k + v_int
-        if v_ext < 1 or e < 1:
-            continue
-        min_val = (1,) * v_ext + (3,) * v_int
-        for shape in _shapes_cached(v_ext, v_int, e, min_val):
-            yield _decorate(parity, v_ext, v_int, shape)
-
-
-def _framed_shapes(k, m):
-    """The decorated crossed shapes ``framed_basis(k, m)`` canonicalizes."""
-    for x in range(0, k + 1):
-        k0, m0 = k - x, m - x
-        for v_int in itertools.count(0):
-            v_ext = 2 * k0 - v_int - m0
-            e = k0 + v_int
-            if v_ext < 1 or e < 0 or e == 0 and v_int > 0:
-                break
-            for crossed in itertools.combinations(range(1, v_ext + 1), x):
-                min_val = tuple(0 if v in crossed else 1
-                                for v in range(1, v_ext + 1)) + (3,) * v_int
-                for shape in _shapes_cached(v_ext, v_int, e, min_val):
-                    yield _decorate(ODD, v_ext, v_int, shape, crossed)
-
-
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_canonical_form_equals_orbit_scan_on_all_shapes(parity):
     # order 5 at degrees 5..7 has internal twins next to several externals
@@ -340,14 +312,14 @@ def test_canonical_form_equals_orbit_scan_on_all_shapes(parity):
     cases = [(k, m) for k in (1, 2, 3, 4) for m in range(2 * k)] \
         + [(5, m) for m in (5, 6, 7)]
     for k, m in cases:
-        for g in _labelled_shapes(parity, k, m):
+        for g in reference_labelled_shapes(parity, k, m):
             assert canonical_form(g) == reference_canonical_form(g), g
 
 
 def test_canonical_form_equals_orbit_scan_on_framed_shapes():
     for k in (1, 2, 3):
         for m in range(2 * k):
-            for g in _framed_shapes(k, m):
+            for g in reference_framed_shapes(k, m):
                 assert canonical_form(g) == reference_canonical_form(g), g
 
 
@@ -376,8 +348,8 @@ def test_canonical_form_equals_orbit_scan_on_order5_sample():
     shapes = [(v_ext, v_int, shape) for m in (2, 3, 4)
               for v_int in range(3, 8 - m)
               for v_ext in [10 - v_int - m]
-              for shape in _shapes_cached(v_ext, v_int, 5 + v_int,
-                                          (1,) * v_ext + (3,) * v_int)]
+              for shape in reference_shapes(v_ext, v_int, 5 + v_int,
+                                            (1,) * v_ext + (3,) * v_int)]
     for v_ext, v_int, shape in rng.sample(shapes, 600):
         g = _decorate(rng.choice([ODD, EVEN]), v_ext, v_int, shape)
         h, _ = decorated_variant(g, rng)
@@ -394,8 +366,8 @@ def test_canonical_form_equals_orbit_scan_at_order5_high_v_int():
     try:
         for v_int, count in ((7, 6), (8, 3), (9, 1)):
             v_ext = 10 - v_int
-            shapes = _shapes_cached(v_ext, v_int, 5 + v_int,
-                                    (1,) * v_ext + (3,) * v_int)
+            shapes = reference_shapes(v_ext, v_int, 5 + v_int,
+                                      (1,) * v_ext + (3,) * v_int)
             for shape in rng.sample(shapes, count):
                 g = _decorate(rng.choice([ODD, EVEN]), v_ext, v_int, shape)
                 h, _ = decorated_variant(g, rng)

@@ -158,6 +158,35 @@ def test_delta_matrix_kernel_and_rank_equal_dense_reference():
             assert mat.rank() == _dense_rank([row[:] for row in dense], nc)
 
 
+# dim C^{k,m} and dim H^{k,m} for k = 1..3 and m = 0..2k+1.
+LOW_ORDER_DIM_C = {ODD: {1: [1, 1, 0, 0], 2: [3, 2, 1, 0, 0, 0],
+                         3: [10, 16, 13, 7, 1, 0, 0, 0]},
+                   EVEN: {1: [0, 1, 0, 0], 2: [2, 2, 2, 0, 0, 0],
+                          3: [10, 17, 13, 7, 1, 0, 0, 0]}}
+LOW_ORDER_DIM_H = {ODD: {1: [0, 0, 0, 0], 2: [1, 0, 1, 0, 0, 0],
+                         3: [1, 0, 0, 0, 0, 0, 0, 0]},
+                   EVEN: {1: [0, 1, 0, 0], 2: [1, 0, 1, 0, 0, 0],
+                          3: [1, 1, 0, 0, 0, 0, 0, 0]}}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_low_order_tables_and_euler_identity(parity, k):
+    dim_c = [len(basis(parity, k, m)) for m in range(2 * k + 2)]
+    dim_h = [cohomology(parity, k, m).dim_H for m in range(2 * k + 2)]
+    assert dim_c == LOW_ORDER_DIM_C[parity][k]
+    assert dim_h == LOW_ORDER_DIM_H[parity][k]
+    assert sum((-1) ** m * d for m, d in enumerate(dim_c)) == \
+        sum((-1) ** m * d for m, d in enumerate(dim_h))
+
+
+def test_even_h31_is_the_nontrivalent_class():
+    """Longoni, "Nontrivial classes in H*(Imb(S^1, R^n)) from nontrivalent
+    graph cocycles": the even complex has a class of order 3 in degree 1,
+    where every graph has one edge end above the minimum valences."""
+    assert cohomology(EVEN, 3, 1).dim_H == 1
+
+
 # dim C^{4,m} and dim H^{4,m} for m = 0..5; the complex is zero above.
 ORDER4_DIM_C = {ODD: [61, 171, 215, 143, 47, 5],
                 EVEN: [48, 170, 227, 144, 46, 5]}
