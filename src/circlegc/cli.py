@@ -84,7 +84,17 @@ def _cached_basis(parity: str, k: int, m: int, framed: bool):
     return graphs
 
 
+def _check_complex(args):
+    """The framed and underline complexes are odd and exclude each other."""
+    chosen = [f for f in ("framed", "underline") if getattr(args, f, False)]
+    if len(chosen) > 1:
+        raise ValueError("--framed and --underline exclude each other")
+    if chosen and args.parity == EVEN:
+        raise ValueError("--%s needs the odd parity" % chosen[0])
+
+
 def cmd_enumerate(args):
+    _check_complex(args)
     graphs = _cached_basis(args.parity, args.order, args.degree,
                            args.framed)
     payload = {"tool": "circlegc", "version": __version__,
@@ -110,6 +120,7 @@ def cmd_delta(args):
 
 
 def cmd_cohomology(args):
+    _check_complex(args)
     if args.framed:
         rep = cohomology(ODD, args.order, args.degree, op=delta_framed,
                          basis_fn=lambda parity, k, m: framed_basis(k, m))
@@ -178,7 +189,9 @@ def cmd_faces(args):
 
 def cmd_export_dot(args):
     data = _read_json(args.infile)
-    graphs = data["graphs"] if "graphs" in data else [data]
+    graphs = data.get("graphs", [data]) if isinstance(data, dict) else None
+    if not isinstance(graphs, list):
+        raise ValueError("expected a graph or an object with a graphs list")
     texts = []
     for i, gd in enumerate(graphs):
         g = graph_from_dict(gd)

@@ -1,18 +1,28 @@
-"""The coboundary operator: contracting regular edges and arcs.
+"""The coboundary: one engine behind ``delta``, ``delta_underline`` and
+``delta_framed``.
 
-``delta`` of a graph is the signed sum over all contraction sites.  A site
-is either a regular edge (an edge that is neither a chord nor a small loop,
-i.e. with at least one internal endpoint) or an arc (the circle segment
-between two cyclically consecutive external vertices).  Contracting the arc
-between the endpoints of a short chord turns that chord into an external
-small loop whose half-edges are ordered consistently with the circle
-orientation.
+The coboundary of a graph is a signed sum over its principal faces: one
+contraction per site, then one deletion per cross.  A site is either a
+regular edge (an edge that is neither a chord nor a small loop, i.e. with
+at least one internal endpoint) or an arc (the circle segment between two
+cyclically consecutive external vertices).  Contracting the arc between
+the endpoints of a short chord turns that chord into an external small
+loop whose half-edges are ordered consistently with the circle
+orientation.  Deleting a cross puts such a small loop on its vertex.
+
+``_coboundary`` is the one engine.  ``delta`` runs it on every site, so on
+a crossed graph it is the crossed coboundary ``framed.delta_framed``;
+``framed.delta_underline`` leaves out the arcs over short chords.  Every
+raw term, ``framed.short_chord_substitution``'s included, goes through
+``_add_term``: zero by the relations, canonical form, orientation weight.
+``graphs.linear`` extends any of these operators to graph vectors.
 
 Signs: contracting the edge or arc joining vertex i to vertex j, ordered
 along the edge arrow (odd) or the circle orientation (arcs), contributes
 (-1)^j for j > i and (-1)^(i+1) for j < i.  In even parity an edge
 contraction instead uses its label a and contributes (-1)^(a+1+v_ext) with
-v_ext counted before the contraction.
+v_ext counted before the contraction.  Deleting the cross labelled a on a
+graph of degree m contributes (-1)^(m + a).
 
 After a contraction the merged vertex takes the label min(i, j) and every
 label above max(i, j) drops by one; in even parity, edge labels above a
@@ -22,11 +32,10 @@ contracted edge's label drop by one as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, AGAINST_ORDER,
-                     DecoratedGraph, GraphVector, canonical_form,
-                     is_zero_by_relations)
+                     DecoratedGraph, GraphVector, canonical_form, degree,
+                     is_zero_by_relations, linear)
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ def contraction_sites(g: DecoratedGraph):
     return sites
 
 
-def _merge_map(num_vertices: int, i: int, j: int):
+def _merge_map(i: int, j: int):
     lo, hi = min(i, j), max(i, j)
 
     def remap(v: int) -> int:
@@ -85,7 +94,7 @@ def _contract_edge(g: DecoratedGraph, idx: int):
         raise ValueError("cannot contract a small loop")
     if g.is_external(a) and g.is_external(b):
         raise ValueError("cannot contract a chord")
-    remap = _merge_map(g.num_vertices, a, b)
+    remap = _merge_map(a, b)
     edges = [(remap(x), remap(y)) for k, (x, y) in enumerate(g.edges)
              if k != idx]
     loops = tuple((remap(v), of, af) for v, of, af in g.loops)
@@ -107,7 +116,7 @@ def _contract_arc(g: DecoratedGraph, start: int):
         raise ValueError("arc index out of range")
     i = start
     j = 1 if i == g.v_ext else i + 1
-    remap = _merge_map(g.num_vertices, i, j)
+    remap = _merge_map(i, j)
     sign = _sigma(i, j)
     edges = []
     loops = list((remap(v), of, af) for v, of, af in g.loops)
@@ -129,6 +138,19 @@ def _contract_arc(g: DecoratedGraph, start: int):
     return sign, out
 
 
+def delete_cross(g: DecoratedGraph, label: int):
+    """Raw cross deletion: drop cross ``label``, attach a small loop at its
+    vertex.  Returns ``(sign, graph)`` before canonicalization."""
+    if not 1 <= label <= g.num_crosses:
+        raise ValueError("no cross labelled %d" % label)
+    vertex = g.crosses[label - 1]
+    crosses = g.crosses[:label - 1] + g.crosses[label:]
+    loops = g.loops + ((vertex, WITH_CIRCLE, WITH_ORDER),)
+    sign = (-1) ** (degree(g) + label)
+    out = DecoratedGraph(ODD, g.v_ext, g.v_int, g.edges, loops, crosses)
+    return sign, out
+
+
 def orientation_sign(g: DecoratedGraph) -> int:
     """Per-class orientation of the basis vector entering ``delta``.
 
@@ -146,48 +168,41 @@ def orientation_sign(g: DecoratedGraph) -> int:
     return -1 if g.v_ext <= 2 else 1
 
 
-def contract(g: DecoratedGraph, site: ContractionSite):
-    """Contract one site and canonicalize.
-
-    Returns ``(coefficient, canonical graph)`` or ``None`` when the
-    contraction produces a zero graph.  The coefficient is the contraction
-    sign times the canonicalization sign, weighted by the orientation signs
-    of source and target.
-    """
-    sign, raw = contract_raw(g, site)
+def _add_term(out: GraphVector, sign: int, raw: DecoratedGraph,
+              weight: int) -> None:
+    """Add ``sign * [raw]`` to ``out`` unless ``raw`` is zero, weighted by
+    ``weight`` (the source's orientation sign) times the target's."""
     if is_zero_by_relations(raw):
-        return None
+        return
     res = canonical_form(raw)
     if res is None:
-        return None
+        return
     canon, extra = res
-    w = orientation_sign(g) * orientation_sign(canon)
-    return Fraction(sign * extra * w), canon
+    out.add_graph(canon, sign * extra * weight * orientation_sign(canon))
+
+
+def _coboundary(g: DecoratedGraph, skip_arcs=()) -> GraphVector:
+    """Signed sum over the sites of ``g``, the arcs starting at a vertex in
+    ``skip_arcs`` left out, plus one term per cross."""
+    out = GraphVector(parity=g.parity)
+    weight = orientation_sign(g)
+    for site in contraction_sites(g):
+        if site.kind == "edge" or site.index not in skip_arcs:
+            _add_term(out, *contract_raw(g, site), weight)
+    for label in range(1, g.num_crosses + 1):
+        _add_term(out, *delete_cross(g, label), weight)
+    return out
 
 
 def delta(g: DecoratedGraph) -> GraphVector:
-    """Coboundary of a single graph: signed sum over all contractions.
+    """Coboundary of a single graph: signed sum over all contractions and,
+    on a framed graph, all cross deletions.
 
-    Every term has the same order as ``g`` and degree one higher.  Framed
-    graphs (with crosses) must go through ``framed.delta_framed`` instead,
-    which adds the cross terms on top of these.
+    Every term has the same order as ``g`` and degree one higher.
     """
-    out = GraphVector(parity=g.parity)
-    for site in contraction_sites(g):
-        term = contract(g, site)
-        if term is not None:
-            coeff, canon = term
-            out.add_graph(canon, coeff)
-    return out
+    return _coboundary(g)
 
 
 def delta_vector(v: GraphVector) -> GraphVector:
     """Linear extension of ``delta`` to graph vectors."""
-    out = GraphVector(parity=v.parity)
-    for coeff, g in v.terms:
-        for site in contraction_sites(g):
-            term = contract(g, site)
-            if term is not None:
-                c, canon = term
-                out.add_graph(canon, coeff * c)
-    return out
+    return linear(delta, v)

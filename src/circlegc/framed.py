@@ -1,14 +1,14 @@
 """The framed (crossed) extension of the odd complex.
 
 A cross is an extra decoration on an external vertex; it raises both
-gradings by one and swapping two cross labels costs a sign.  Three
-operators live here:
+gradings by one and swapping two cross labels costs a sign.  Two crosses
+on one vertex square an odd form, so such a graph is zero
+(``graphs.is_zero_by_relations``).  Three operators live here, all built
+on the one coboundary engine of ``coboundary``:
 
-* ``delta_framed``: the coboundary of the crossed complex.  It contracts
-  edges and arcs as usual and additionally deletes each cross, one at a
-  time, replacing it by an external small loop at the same vertex with the
-  half-edges ordered along the circle; the cross labelled a on a graph of
-  framed degree m contributes the sign (-1)^(m + a).
+* ``delta_framed``: the coboundary of the crossed complex, which is
+  ``delta`` itself (edge and arc contractions, then one deletion per
+  cross), restricted to the odd parity.
 * ``delta_underline``: the coboundary with the arc contractions between the
   endpoints of short chords left out.  It squares to zero on the uncrossed
   complex.
@@ -16,75 +16,28 @@ operators live here:
   the crossed one.  Each short chord from vertex i to vertex j is traded
   for the difference "keep it" plus (-1)^n sigma(i, j) times "merge its
   endpoints into one crossed vertex", with n the number of vertices of the
-  graph at that step; crosses are numbered by the circle position of their
-  chords and the result does not depend on the processing order.
+  graph at that step; crosses are numbered in the processing order of
+  their chords and the result does not depend on that order.  Its terms
+  go through the engine's ``_add_term``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from dataclasses import replace
 
-from .graphs import (ODD, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
-                     GraphVector, canonical_form, degree,
-                     is_zero_by_relations, perm_sign)
-from .coboundary import (ContractionSite, contraction_sites, contract,
-                         orientation_sign, _merge_map, _sigma)
-
-
-def cross_sites(g: DecoratedGraph):
-    """Cross labels available for deletion, i.e. 1..x."""
-    return list(range(1, g.num_crosses + 1))
-
-
-def delete_cross(g: DecoratedGraph, label: int):
-    """Raw cross deletion: drop cross ``label``, attach a small loop at its
-    vertex.  Returns ``(sign, graph)`` before canonicalization."""
-    if not 1 <= label <= g.num_crosses:
-        raise ValueError("no cross labelled %d" % label)
-    vertex = g.crosses[label - 1]
-    crosses = g.crosses[:label - 1] + g.crosses[label:]
-    loops = g.loops + ((vertex, WITH_CIRCLE, WITH_ORDER),)
-    sign = (-1) ** (degree(g) + label)
-    out = DecoratedGraph(ODD, g.v_ext, g.v_int, g.edges, loops, crosses)
-    return sign, out
+from .graphs import (ODD, DecoratedGraph, GraphVector, is_zero_by_relations,
+                     linear, perm_sign)
+from .coboundary import (_add_term, _coboundary, _merge_map, _sigma,
+                         orientation_sign)
 
 
 def delta_framed(g: DecoratedGraph) -> GraphVector:
     """Coboundary on the crossed odd complex: edge and arc contractions
     plus one term per cross."""
-    out = GraphVector(parity=ODD)
-    crossed = set(g.crosses)
-    for site in contraction_sites(g):
-        if site.kind == "arc":
-            i = site.index
-            j = 1 if i == g.v_ext else i + 1
-            # merging two crossed vertices squares an odd form: zero
-            if i in crossed and j in crossed:
-                continue
-        term = contract(g, site)
-        if term is not None:
-            coeff, canon = term
-            out.add_graph(canon, coeff)
-    for label in cross_sites(g):
-        sign, raw = delete_cross(g, label)
-        if is_zero_by_relations(raw):
-            continue
-        res = canonical_form(raw)
-        if res is None:
-            continue
-        canon, extra = res
-        w = orientation_sign(g) * orientation_sign(canon)
-        out.add_graph(canon, Fraction(sign * extra * w))
-    return out
-
-
-def delta_framed_vector(v: GraphVector) -> GraphVector:
-    out = GraphVector(parity=ODD)
-    for coeff, g in v.terms:
-        for c, h in delta_framed(g).terms:
-            out.add_graph(h, coeff * c)
-    return out
+    if g.parity != ODD:
+        raise ValueError("the crossed complex is odd: parity mismatch")
+    return _coboundary(g)
 
 
 def _suppressed_arcs(g: DecoratedGraph):
@@ -106,25 +59,12 @@ def delta_underline(g: DecoratedGraph) -> GraphVector:
     With two external vertices joined by a chord the two arc contractions
     produce the same signed term; one of the two copies is dropped.
     """
-    skip = _suppressed_arcs(g)
-    out = GraphVector(parity=g.parity)
-    for site in contraction_sites(g):
-        if site.kind == "arc":
-            if site.index in skip:
-                continue
-        term = contract(g, site)
-        if term is not None:
-            coeff, canon = term
-            out.add_graph(canon, coeff)
-    return out
+    return _coboundary(g, _suppressed_arcs(g))
 
 
 def delta_underline_vector(v: GraphVector) -> GraphVector:
-    out = GraphVector(parity=v.parity)
-    for coeff, g in v.terms:
-        for c, h in delta_underline(g).terms:
-            out.add_graph(h, coeff * c)
-    return out
+    """Linear extension of ``delta_underline`` to graph vectors."""
+    return linear(delta_underline, v)
 
 
 def _substitute(g: DecoratedGraph, idx: int):
@@ -135,7 +75,7 @@ def _substitute(g: DecoratedGraph, idx: int):
     i, j = g.edges[idx]
     if not g.is_short_chord(i, j):
         raise ValueError("edge %d is not a short chord" % idx)
-    remap = _merge_map(g.num_vertices, i, j)
+    remap = _merge_map(i, j)
     edges = tuple((remap(x), remap(y))
                   for t, (x, y) in enumerate(g.edges) if t != idx)
     loops = tuple((remap(v), of, af) for v, of, af in g.loops)
@@ -149,10 +89,11 @@ def _branch(g: DecoratedGraph, idxs):
     Substituting the chord from vertex i to vertex j (read along its
     arrow) in a graph with n vertices contributes the sign
     (-1)^n sigma(i, j), evaluated in the labels of the graph at that
-    step.  Returns ``(sign, graph)`` with the crosses numbered by circle
-    position, or ``None`` when an intermediate graph is zero (doubled
-    edge, or two crosses meeting at one vertex): the substitution steps
-    act linearly, so a zero intermediate kills the whole branch.
+    step.  Returns ``(sign, graph)`` with the crosses numbered in edge
+    order, or ``None`` when an intermediate graph is zero by the
+    relations (a doubled edge, or two crosses meeting at one vertex): the
+    substitution steps act linearly, so a zero intermediate kills the
+    whole branch.
     """
     sign, h = 1, g
     cur = sorted(idxs)
@@ -161,8 +102,7 @@ def _branch(g: DecoratedGraph, idxs):
         i, j = h.edges[idx]
         sign *= (-1) ** h.num_vertices * _sigma(i, j)
         h = _substitute(h, idx)
-        if is_zero_by_relations(h) or \
-                len(set(h.crosses)) != len(h.crosses):
+        if is_zero_by_relations(h):
             return None
         cur = [t - 1 if t > idx else t for t in cur]
     return sign, h
@@ -179,40 +119,21 @@ def short_chord_substitution(g: DecoratedGraph,
     branch by the sign of that permutation, so the result is order
     independent.
     """
-    if g.parity != ODD:
-        raise ValueError("substitution is defined on the odd complex")
-    base = g.short_chords()
-    rank_of = {idx: r for r, idx in enumerate(base)}
-    chords = base if chord_order is None else list(chord_order)
+    if g.parity != ODD or g.crosses:
+        raise ValueError("substitution needs an uncrossed odd graph")
+    chords = g.short_chords() if chord_order is None else list(chord_order)
     out = GraphVector(parity=ODD)
-    w0 = orientation_sign(g)
+    weight = orientation_sign(g)
     for r in range(len(chords) + 1):
         for combo in itertools.combinations(chords, r):
-            ranks = tuple(rank_of[idx] for idx in combo)
             res = _branch(g, combo)
             if res is None:
                 continue
             sign, raw = res
-            # _branch numbers the crosses by circle position; renumber them
-            # in processing order, which costs the permutation's sign
-            order = sorted(range(r), key=lambda t: ranks[t])
-            place = {t: p for p, t in enumerate(order)}
-            crosses = tuple(raw.crosses[place[t]] for t in range(r))
-            raw = DecoratedGraph(ODD, raw.v_ext, raw.v_int, raw.edges,
-                                 raw.loops, crosses)
-            sign *= perm_sign(ranks)
-            cres = canonical_form(raw)
-            if cres is None:
-                continue
-            canon, extra = cres
-            out.add_graph(canon, Fraction(sign * extra * w0
-                                          * orientation_sign(canon)))
-    return out
-
-
-def short_chord_substitution_vector(v: GraphVector) -> GraphVector:
-    out = GraphVector(parity=ODD)
-    for coeff, g in v.terms:
-        for c, h in short_chord_substitution(g).terms:
-            out.add_graph(h, coeff * c)
+            # _branch numbers the crosses in edge order; renumber them in
+            # processing order, which costs the permutation's sign
+            first = sorted(combo)
+            crosses = tuple(raw.crosses[first.index(idx)] for idx in combo)
+            _add_term(out, sign * perm_sign(combo),
+                      replace(raw, crosses=crosses), weight)
     return out

@@ -145,9 +145,6 @@ class DecoratedGraph:
         return [i for i in self.chords()
                 if self.is_short_chord(*self.edges[i])]
 
-    def is_chord_diagram(self) -> bool:
-        return self.v_int == 0 and not self.loops and not self.crosses
-
     def chord_crossings(self) -> int:
         """Number of interleaving chord pairs, read around the circle."""
         ch = [tuple(sorted(self.edges[i])) for i in self.chords()]
@@ -176,8 +173,10 @@ def degree(g: DecoratedGraph) -> int:
 def validate(g: DecoratedGraph) -> list:
     """Return a list of violation strings; empty means the graph is usable.
 
-    Violations 'multiple edge' and 'internal small loop' mean the graph is
-    zero in the quotient; the others mean it is malformed.
+    Violations 'multiple edge', 'internal small loop', 'small loop on a
+    crossed vertex' and 'more than one cross on a vertex' mean the graph
+    is zero in the quotient (``is_zero_by_relations``); the others mean it
+    is malformed.
     """
     bad = []
     if g.parity not in (ODD, EVEN):
@@ -268,8 +267,9 @@ def _connected(v_ext: int, n: int, pairs) -> bool:
 
 def is_zero_by_relations(g: DecoratedGraph) -> bool:
     """True if the graph is zero because of a multiple edge, an internal
-    small loop, or a small loop on a crossed vertex (without looking at the
-    decoration orbit)."""
+    small loop, a small loop on a crossed vertex, or two crosses on one
+    vertex, the square of an odd form (without looking at the decoration
+    orbit)."""
     pairs = g.endpoint_pairs()
     if len(set(pairs)) != len(pairs):
         return True
@@ -278,7 +278,7 @@ def is_zero_by_relations(g: DecoratedGraph) -> bool:
             return True
     if g.crosses and any(v in g.crosses for v, _, _ in g.loops):
         return True
-    return False
+    return len(set(g.crosses)) != len(g.crosses)
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +473,9 @@ def canonical_form(g: DecoratedGraph):
     """Canonical representative of the decoration orbit of ``g``.
 
     Returns ``(canonical, sign)`` with ``[g] = sign * [canonical]`` in the
-    quotient space, or ``None`` when the graph is zero (multiple edge,
-    internal small loop, or a decoration change identifying it with minus
-    itself).
+    quotient space, or ``None`` when the graph is zero (by the relations of
+    ``is_zero_by_relations``, or a decoration change identifying it with
+    minus itself).
 
     The canonical graph is the relabelling with the least row (see the
     module docstring): its edge pairs are least exactly when its adjacency
@@ -539,18 +539,8 @@ class GraphVector:
         return [(self._terms[g], g)
                 for g in sorted(self._terms, key=DecoratedGraph.sort_key)]
 
-    def coefficient(self, graph: DecoratedGraph) -> Fraction:
-        res = canonical_form(graph)
-        if res is None:
-            return Fraction(0)
-        canon, sign = res
-        return self._terms.get(canon, Fraction(0)) * sign
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def graphs(self):
-        return sorted(self._terms, key=DecoratedGraph.sort_key)
 
     def scaled(self, factor) -> "GraphVector":
         factor = Fraction(factor)
@@ -601,4 +591,20 @@ def combine(a: GraphVector, b: GraphVector, lam=1, mu=1) -> GraphVector:
     if lam == 0:
         for g in [g for g, c in out._terms.items() if c == 0]:
             del out._terms[g]
+    return out
+
+
+def linear(op, v: GraphVector) -> GraphVector:
+    """Linear extension to graph vectors of ``op``, a map from canonical
+    graphs to graph vectors.  The image terms are canonical already, so
+    they are summed without canonicalizing them again."""
+    out = GraphVector(parity=v.parity)
+    acc = out._terms
+    for g, coeff in v._terms.items():
+        for h, c in op(g)._terms.items():
+            new = acc.get(h, Fraction(0)) + coeff * c
+            if new == 0:
+                acc.pop(h, None)
+            else:
+                acc[h] = new
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graphs import DecoratedGraph, GraphVector, degree, order
+from .graphs import GraphVector, degree, order
 from .coboundary import delta, delta_vector
 from .enumeration import basis
 
@@ -44,25 +44,8 @@ class SparseRationalMatrix:
     def shape(self):
         return (len(self.row_basis), len(self.col_basis))
 
-    def set_entry(self, i: int, j: int, value: Fraction):
-        if value:
-            self.columns[j][i] = value
-        else:
-            self.columns[j].pop(i, None)
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.columns[j].get(i, Fraction(0))
-
-    def column(self, j: int) -> dict:
-        return dict(self.columns[j])
-
-    def triplets(self):
-        """Deterministic (row, col, value) listing."""
-        out = []
-        for j, col in enumerate(self.columns):
-            for i in sorted(col):
-                out.append((i, j, col[i]))
-        return out
 
     def compose(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """self @ other; other's row basis must be self's column basis."""

@@ -9,13 +9,12 @@ assembled report serializes byte-identically across runs.  The CLI
 from __future__ import annotations
 
 from . import __version__
-from .graphs import ODD, EVEN, canonical_form
+from .graphs import ODD, EVEN, canonical_form, linear
 from .coboundary import delta, delta_vector
 from .enumeration import _shapes_cached, basis, framed_basis
 from .homology import (cohomology, delta_matrix, _rank)
-from .framed import (delta_framed, delta_framed_vector, delta_underline,
-                     delta_underline_vector, short_chord_substitution,
-                     short_chord_substitution_vector)
+from .framed import (delta_framed, delta_underline, delta_underline_vector,
+                     short_chord_substitution)
 from .cocycles import (order2_cocycle, order3_cocycle_odd,
                        order3_cocycle_even)
 from .weights import (chord_diagram_basis, gl_weight, gl_weight_by_traces,
@@ -159,7 +158,7 @@ def criterion_framed_suite() -> dict:
                 break
             for g in fb:
                 n += 1
-                if not delta_framed_vector(delta_framed(g)).is_zero():
+                if not linear(delta_framed, delta_framed(g)).is_zero():
                     bad += 1
             m += 1
     detail["framed_dsquared"] = {"graphs": n, "failures": bad}
@@ -175,8 +174,8 @@ def criterion_framed_suite() -> dict:
                 n += 1
                 if not delta_underline_vector(delta_underline(g)).is_zero():
                     bad += 1
-                lhs = short_chord_substitution_vector(delta_underline(g))
-                rhs = delta_framed_vector(short_chord_substitution(g))
+                lhs = linear(short_chord_substitution, delta_underline(g))
+                rhs = linear(delta_framed, short_chord_substitution(g))
                 if lhs != rhs:
                     chain_bad += 1
                 chords = g.short_chords()

@@ -15,11 +15,9 @@ reduction, gives a well defined functional on the quotient algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 
 # ----------------------------------------------------------------------
@@ -71,15 +69,6 @@ class ChordDiagram:
         reps = [self.rotated(r) for r in range(n)]
         return min(reps, key=lambda d: (d.chords, -1 if d.mark is None
                                         else d.mark))
-
-    def symmetries(self):
-        """Rotations mapping the (unmarked) chord set to itself."""
-        base = ChordDiagram(self.chords).rotated(0).chords
-        out = []
-        for r in range(self.num_points or 1):
-            if ChordDiagram(self.chords).rotated(r).chords == base:
-                out.append(r)
-        return out
 
 
 def forget_mark(d: ChordDiagram) -> ChordDiagram:
@@ -204,32 +193,30 @@ def gl_weight_by_traces(d: ChordDiagram, N: int) -> int:
 
     Each chord sums E_ij at one endpoint against E_ji at the other; the
     circle multiplies the inserted matrices in cyclic order and takes
-    the trace.  Brute force over all index assignments, as a slow
-    independent check of ``gl_weight``.
+    the trace.  Brute force over all N^(2k) index assignments at once, one
+    batched matrix product per circle point, as a slow independent check
+    of ``gl_weight``.
     """
+    import numpy as np          # only this oracle needs numpy
     n = d.num_points
     if n == 0:
         return N          # trace of the identity: the bare circle
-    first = {}
-    second = {}
+    # row 2c and 2c + 1 of ``assign``: the indices (i, j) chord c carries,
+    # one column per assignment
+    assign = np.indices((N,) * n).reshape(n, -1)
+    ends = {}
     for c, (a, b) in enumerate(d.chords):
-        first[a] = c
-        second[b] = c
+        ends[a] = (2 * c, 2 * c + 1)        # E_ij
+        ends[b] = (2 * c + 1, 2 * c)        # E_ji
     units = np.zeros((N, N, N, N), dtype=np.int64)
     for i in range(N):
         for j in range(N):
             units[i, j, i, j] = 1
-    total = 0
-    for assign in itertools.product(range(N), repeat=2 * len(d.chords)):
-        mat = np.eye(N, dtype=np.int64)
-        for p in range(1, n + 1):
-            if p in first:
-                i, j = assign[2 * first[p]], assign[2 * first[p] + 1]
-            else:
-                j, i = assign[2 * second[p]], assign[2 * second[p] + 1]
-            mat = mat @ units[i, j]
-        total += int(np.trace(mat))
-    return total
+    mat = np.eye(N, dtype=np.int64)
+    for p in range(1, n + 1):
+        row, col = ends[p]
+        mat = mat @ units[assign[row], assign[col]]
+    return int(np.trace(mat, axis1=1, axis2=2).sum())
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """End-to-end command line checks via the in-process entry point."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +219,60 @@ def test_weight_bad_diagram_exits_2_with_message(tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("circlegc: error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", ["5", '{"graphs": 5}'])
+def test_export_dot_bad_input_exits_2_with_message(tmp_path, capsys, text):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(text)
+    assert main(["export-dot", "--in", str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("circlegc: error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--framed", "--underline"],
+    ["cohomology", "--parity", "even", "--underline"],
+    ["cohomology", "--parity", "even", "--framed"],
+    ["enumerate", "--parity", "even", "--framed"],
+], ids=["framed-underline", "even-underline", "even-framed",
+        "enumerate-even-framed"])
+def test_contradictory_flags_exit_2_with_message(capsys, argv):
+    assert main(argv + ["--order", "2", "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("circlegc: error: ")
+    assert "Traceback" not in captured.err
+
+
+# SHA-256 of the fast verify reports, pinned before the coboundary
+# operators were folded into one engine
+VERIFY_DIGESTS = {
+    "dsquared":
+        "24579ac28e29b61b093f535074df1efd87527c2c7e6614cd4d86e855eff1a628",
+    "cocycles":
+        "86d47824cefab19ff62f877e632c843ed63771dd4db6190ce3cf8107ed2c3a92",
+    "cohomology":
+        "663437d157d4f49c3c0674a5d8c74481ffd7c4f3949b7112aab07bbfea4bd502",
+    "framed":
+        "1e3b50cad86d0412465e63a2356e5abb3536ed7754e3f48383955b99db410d0a",
+    "faces":
+        "c3b91ae36a4698bbd14673649a42d241cf81365c5784e5c001c6a6aca1d8b3b1",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+def test_verify_report_bytes_are_pinned(tmp_path, suite):
+    report = tmp_path / "r.json"
+    assert main(["verify", "--suite", suite, "--report", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == VERIFY_DIGESTS[suite]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, circlegc.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,15 +1,21 @@
-"""Contraction signs, gradings, and well-definedness of the coboundary."""
+"""Contraction signs, gradings, and well-definedness of the coboundary,
+and the one engine behind delta, delta_underline and delta_framed."""
 
+import hashlib
 import random
 
 import pytest
 
 from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
-                             DecoratedGraph, canonical_form, degree, order)
+                             DecoratedGraph, canonical_form, degree,
+                             is_zero_by_relations, order, validate)
 from circlegc.coboundary import (ContractionSite, contract_raw,
                                  contraction_sites, delta, delta_vector,
                                  _sigma)
-from circlegc.enumeration import basis
+from circlegc.enumeration import basis, framed_basis
+from circlegc.framed import (delta_framed, delta_underline,
+                             short_chord_substitution)
+from circlegc.serialize import dumps, vector_to_dict
 
 from conftest import decorated_variant
 
@@ -107,3 +113,68 @@ def test_dsquared_spot_checks():
         for k in (1, 2, 3):
             for g in basis(parity, k, 0):
                 assert delta_vector(delta(g)).is_zero()
+
+
+def _graphs(basis_fn):
+    """Every basis graph of order <= 3, degrees 0..2k+1."""
+    return [g for k in (1, 2, 3) for m in range(2 * k + 2)
+            for g in basis_fn(k, m)]
+
+
+BOTH = (lambda k, m: basis(ODD, k, m) + basis(EVEN, k, m))
+
+# SHA-256 over the serialized outputs, pinned before the three operators
+# were folded into one engine: (operator, graphs, graph count, digest)
+PINNED = [
+    (delta, BOTH, 110,
+     "718efc2f3251813ed0503db66ac93242104daa66c0a8d3ece0891387f48f55b7"),
+    (delta_underline, BOTH, 110,
+     "49b48a0588b18479ccb203ef1259d23a31aa11a2a15f441f42e87724168a3b7c"),
+    (delta_framed, framed_basis, 89,
+     "257412bc1eb81f2fdfd99b48485ff30a3e72ab5d0e14bdc2cb6d0128429c697c"),
+    (short_chord_substitution, lambda k, m: basis(ODD, k, m), 55,
+     "a3456611f2a9ab9a209ca9bbbebe2d377c1bd48fbd39e7dff5074064d6205c81"),
+]
+
+
+@pytest.mark.parametrize("op, basis_fn, count, digest", PINNED,
+                         ids=[p[0].__name__ for p in PINNED])
+def test_operator_outputs_are_pinned(op, basis_fn, count, digest):
+    graphs = _graphs(basis_fn)
+    acc = hashlib.sha256()
+    for g in graphs:
+        acc.update(dumps(vector_to_dict(op(g))).encode())
+    assert len(graphs) == count
+    assert acc.hexdigest() == digest
+
+
+def test_delta_is_delta_framed_on_framed_graphs():
+    graphs = _graphs(framed_basis)
+    assert any(g.crosses for g in graphs)
+    for g in graphs:
+        assert delta(g) == delta_framed(g)
+
+
+def test_delta_of_a_crossed_graph_deletes_the_cross():
+    g = DecoratedGraph(ODD, 3, 0, ((1, 2),), (), (3,))
+    terms = delta(g).terms
+    assert len(terms) == 2
+    assert [h.crosses for _, h in terms].count(()) == 1   # the cross deleted
+
+
+def test_doubled_cross_is_zero():
+    g = DecoratedGraph(ODD, 1, 0, (), (), (1, 1))
+    assert "more than one cross on a vertex" in validate(g)
+    assert is_zero_by_relations(g)
+    assert canonical_form(g) is None
+    # contracting the arc between two crossed vertices doubles a cross
+    g = DecoratedGraph(ODD, 2, 0, (), (), (1, 2))
+    for site in contraction_sites(g):
+        assert is_zero_by_relations(contract_raw(g, site)[1])
+    assert delta(g) == delta_framed(g)
+
+
+def test_delta_framed_rejects_an_even_graph():
+    g = DecoratedGraph(EVEN, 3, 1, ((1, 4), (2, 4), (3, 4)))
+    with pytest.raises(ValueError):
+        delta_framed(g)

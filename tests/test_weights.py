@@ -45,6 +45,52 @@ def test_gl_weight_matches_trace_oracle():
                 assert w.evaluate(N) == gl_weight_by_traces(d, N)
 
 
+def _gl_weight_by_traces_loop(d: ChordDiagram, N: int) -> int:
+    """Evaluate the gl(N) weight by literal matrix traces.
+
+    Each chord sums E_ij at one endpoint against E_ji at the other; the
+    circle multiplies the inserted matrices in cyclic order and takes
+    the trace.  Brute force over all index assignments, as a slow
+    independent check of ``gl_weight``.
+    """
+    n = d.num_points
+    if n == 0:
+        return N          # trace of the identity: the bare circle
+    first = {}
+    second = {}
+    for c, (a, b) in enumerate(d.chords):
+        first[a] = c
+        second[b] = c
+    units = np.zeros((N, N, N, N), dtype=np.int64)
+    for i in range(N):
+        for j in range(N):
+            units[i, j, i, j] = 1
+    total = 0
+    for assign in itertools.product(range(N), repeat=2 * len(d.chords)):
+        mat = np.eye(N, dtype=np.int64)
+        for p in range(1, n + 1):
+            if p in first:
+                i, j = assign[2 * first[p]], assign[2 * first[p] + 1]
+            else:
+                j, i = assign[2 * second[p]], assign[2 * second[p] + 1]
+            mat = mat @ units[i, j]
+        total += int(np.trace(mat))
+    return total
+
+
+def test_batched_trace_oracle_equals_loop_oracle():
+    """The batched oracle is the loop over assignments, one matmul at a
+    time, done for all assignments at once; the loop is the reference."""
+    checks = 0
+    for k in range(4):
+        for d in chord_diagram_basis(k):
+            for N in (2, 3):
+                assert gl_weight_by_traces(d, N) == \
+                    _gl_weight_by_traces_loop(d, N)
+                checks += 1
+    assert checks == 18
+
+
 def test_tripod_weight():
     w = weight_of_bn(TRIPOD_BN)
     assert w.coeffs == {3: 1, 1: -1}          # N^3 - N
