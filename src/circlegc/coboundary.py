@@ -15,7 +15,11 @@ a crossed graph it is the crossed coboundary ``framed.delta_framed``;
 ``framed.delta_underline`` leaves out the arcs over short chords.  Every
 raw term, ``framed.short_chord_substitution``'s included, goes through
 ``_add_term``: zero by the relations, canonical form, orientation weight.
-``graphs.linear`` extends any of these operators to graph vectors.
+Each term costs one ``canonical_form`` lookup: ``_add_term`` adds its
+signed coefficient straight into a map from canonical graphs to Python
+``int``s, and the operator turns that map into a ``GraphVector`` of
+``Fraction``s once, before it returns.  ``graphs.linear`` extends any of
+these operators to graph vectors.
 
 Signs: contracting the edge or arc joining vertex i to vertex j, ordered
 along the edge arrow (odd) or the circle orientation (arcs), contributes
@@ -118,10 +122,12 @@ def _contract_arc(g: DecoratedGraph, start: int):
     j = 1 if i == g.v_ext else i + 1
     remap = _merge_map(i, j)
     sign = _sigma(i, j)
+    chord = ((i, j), (j, i))
     edges = []
     loops = list((remap(v), of, af) for v, of, af in g.loops)
-    for a, b in g.edges:
-        if {a, b} == {i, j}:
+    for e in g.edges:
+        a, b = e
+        if e in chord:
             # A short chord between the arc's endpoints becomes an external
             # small loop.  Its first half-edge, in the ordering consistent
             # with the circle orientation, is the end at vertex i.
@@ -168,30 +174,32 @@ def orientation_sign(g: DecoratedGraph) -> int:
     return -1 if g.v_ext <= 2 else 1
 
 
-def _add_term(out: GraphVector, sign: int, raw: DecoratedGraph,
+def _add_term(acc: dict, sign: int, raw: DecoratedGraph,
               weight: int) -> None:
-    """Add ``sign * [raw]`` to ``out`` unless ``raw`` is zero, weighted by
-    ``weight`` (the source's orientation sign) times the target's."""
+    """Add ``sign * [raw]`` to ``acc``, a map from canonical graphs to
+    ``int`` coefficients, unless ``raw`` is zero, weighted by ``weight``
+    (the source's orientation sign) times the target's."""
     if is_zero_by_relations(raw):
         return
     res = canonical_form(raw)
     if res is None:
         return
     canon, extra = res
-    out.add_graph(canon, sign * extra * weight * orientation_sign(canon))
+    acc[canon] = (acc.get(canon, 0)
+                  + sign * extra * weight * orientation_sign(canon))
 
 
 def _coboundary(g: DecoratedGraph, skip_arcs=()) -> GraphVector:
     """Signed sum over the sites of ``g``, the arcs starting at a vertex in
     ``skip_arcs`` left out, plus one term per cross."""
-    out = GraphVector(parity=g.parity)
+    acc = {}
     weight = orientation_sign(g)
     for site in contraction_sites(g):
         if site.kind == "edge" or site.index not in skip_arcs:
-            _add_term(out, *contract_raw(g, site), weight)
+            _add_term(acc, *contract_raw(g, site), weight)
     for label in range(1, g.num_crosses + 1):
-        _add_term(out, *delete_cross(g, label), weight)
-    return out
+        _add_term(acc, *delete_cross(g, label), weight)
+    return GraphVector.from_canonical(acc, g.parity)
 
 
 def delta(g: DecoratedGraph) -> GraphVector:

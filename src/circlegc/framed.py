@@ -122,7 +122,7 @@ def short_chord_substitution(g: DecoratedGraph,
     if g.parity != ODD or g.crosses:
         raise ValueError("substitution needs an uncrossed odd graph")
     chords = g.short_chords() if chord_order is None else list(chord_order)
-    out = GraphVector(parity=ODD)
+    acc = {}
     weight = orientation_sign(g)
     for r in range(len(chords) + 1):
         for combo in itertools.combinations(chords, r):
@@ -134,6 +134,6 @@ def short_chord_substitution(g: DecoratedGraph,
             # processing order, which costs the permutation's sign
             first = sorted(combo)
             crosses = tuple(raw.crosses[first.index(idx)] for idx in combo)
-            _add_term(out, sign * perm_sign(combo),
+            _add_term(acc, sign * perm_sign(combo),
                       replace(raw, crosses=crosses), weight)
-    return out
+    return GraphVector.from_canonical(acc, ODD)

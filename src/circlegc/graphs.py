@@ -110,15 +110,6 @@ class DecoratedGraph:
 
     # -- derived structure ----------------------------------------------
 
-    def endpoint_pairs(self):
-        """All unordered endpoint pairs, small loops included."""
-        pairs = []
-        for a, b in self.edges:
-            pairs.append((min(a, b), max(a, b)))
-        for entry in self.loops:
-            pairs.append((entry[0], entry[0]))
-        return pairs
-
     def valences(self):
         """Edge-end count per vertex label (a small loop counts twice)."""
         val = {v: 0 for v in range(1, self.num_vertices + 1)}
@@ -270,12 +261,18 @@ def is_zero_by_relations(g: DecoratedGraph) -> bool:
     small loop, a small loop on a crossed vertex, or two crosses on one
     vertex, the square of an odd form (without looking at the decoration
     orbit)."""
-    pairs = g.endpoint_pairs()
-    if len(set(pairs)) != len(pairs):
-        return True
+    seen = set()
     for a, b in g.edges:
         if a == b and not g.is_external(a):
             return True
+        pair = (a, b) if a <= b else (b, a)
+        if pair in seen:
+            return True
+        seen.add(pair)
+    for v, _, _ in g.loops:
+        if (v, v) in seen:
+            return True
+        seen.add((v, v))
     if g.crosses and any(v in g.crosses for v, _, _ in g.loops):
         return True
     return len(set(g.crosses)) != len(g.crosses)
@@ -485,13 +482,18 @@ def canonical_form(g: DecoratedGraph):
     one per reversed arrow and per flipped loop flag, and the cross
     order's (odd), or the edge-label permutation's (even); it must agree
     over every relabelling with the least row, else the graph is zero.
+    When ``g`` is its own canonical graph it is returned itself, so the
+    cache keeps one object for the key and the value.
     """
     bad = validate(g)
     if bad:
         if is_zero_by_relations(g):
             return None
         raise ValueError("invalid graph: %s" % "; ".join(bad))
-    return _canonical(g)
+    res = _canonical(g)
+    if res is not None and res[0] == g:
+        return g, res[1]
+    return res
 
 
 def is_canonical(g: DecoratedGraph) -> bool:
@@ -514,6 +516,15 @@ class GraphVector:
         self.parity = parity
         for coeff, graph in terms:
             self.add_graph(graph, coeff)
+
+    @classmethod
+    def from_canonical(cls, coeffs, parity) -> "GraphVector":
+        """The vector with the given ``{canonical graph: coefficient}``
+        terms.  The graphs are taken as canonical, with no lookup;
+        coefficients become ``Fraction``s and zeros are dropped."""
+        out = cls(parity=parity)
+        out._terms = {g: Fraction(c) for g, c in coeffs.items() if c}
+        return out
 
     def add_graph(self, graph: DecoratedGraph, coeff) -> None:
         coeff = Fraction(coeff)
@@ -538,6 +549,10 @@ class GraphVector:
         """Sorted list of ``(coefficient, canonical graph)`` pairs."""
         return [(self._terms[g], g)
                 for g in sorted(self._terms, key=DecoratedGraph.sort_key)]
+
+    def items(self):
+        """Unsorted ``(canonical graph, coefficient)`` pairs."""
+        return self._terms.items()
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -193,10 +193,9 @@ def delta_matrix(parity: str, k: int, m: int,
     tgt = basis_fn(parity, k, m + 1)
     mat = SparseRationalMatrix(tgt, src)
     for j, g in enumerate(src):
-        for coeff, h in op(g).terms:
-            i = mat.row_index[h.sort_key()]
-            mat.columns[j][i] = mat.columns[j].get(i, Fraction(0)) + coeff
-        mat.columns[j] = {i: v for i, v in mat.columns[j].items() if v}
+        # distinct canonical graphs, nonzero coefficients: one entry each
+        mat.columns[j] = {mat.row_index[h.sort_key()]: c
+                          for h, c in op(g).items()}
     return mat
 
 
@@ -211,13 +210,8 @@ def cohomology(parity: str, k: int, m: int,
     else:
         rank_prev = 0
     src = out_mat.col_basis
-    cocycles = []
-    for vec in ker:
-        v = GraphVector(parity=parity)
-        for c, g in zip(vec, src):
-            if c:
-                v.add_graph(g, c)
-        cocycles.append(v)
+    cocycles = [GraphVector.from_canonical(dict(zip(src, vec)), parity)
+                for vec in ker]
     return CohomologyReport(parity, k, m, len(ker), rank_prev,
                             len(ker) - rank_prev, cocycles)
 
@@ -232,8 +226,5 @@ def verify_cocycle(v: GraphVector, op=delta_vector) -> bool:
 
 def chord_part(v: GraphVector) -> GraphVector:
     """Restriction to the terms with no internal vertices."""
-    out = GraphVector(parity=v.parity)
-    for coeff, g in v.terms:
-        if g.v_int == 0:
-            out.add_graph(g, coeff)
-    return out
+    return GraphVector.from_canonical(
+        {g: c for c, g in v.terms if g.v_int == 0}, v.parity)

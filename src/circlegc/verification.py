@@ -8,12 +8,14 @@ assembled report serializes byte-identically across runs.  The CLI
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import __version__
 from .graphs import ODD, EVEN, canonical_form, linear
 from .coboundary import delta, delta_vector
 from .enumeration import _shapes_cached, basis, framed_basis
 from .homology import (cohomology, delta_matrix, _rank)
-from .framed import (delta_framed, delta_underline, delta_underline_vector,
+from .framed import (delta_framed, delta_underline,
                      short_chord_substitution)
 from .cocycles import (order2_cocycle, order3_cocycle_odd,
                        order3_cocycle_even)
@@ -44,24 +46,34 @@ def _bidegrees(parity: str, k: int):
 def criterion_dsquared() -> dict:
     """The coboundary squares to zero: composed matrices at every
     bidegree of order <= 3 in both parities, plus a direct double
-    application at odd order 4."""
+    application at odd order 4.
+
+    Each matrix is built once per (parity, k, m) and composed with both
+    of its neighbours.  The direct check maps every graph through a memo
+    of ``delta`` local to this call, so a graph met as a source and again
+    as an image term is mapped once; the memo goes when the criterion
+    returns, and its vectors are only read."""
     checked = 0
     failures = []
     for parity in (ODD, EVEN):
         for k in range(1, MAX_ORDER + 1):
+            mats = {}
             for m in _bidegrees(parity, k):
-                sq = delta_matrix(parity, k, m + 1).compose(
-                    delta_matrix(parity, k, m))
+                for d in (m, m + 1):
+                    if d not in mats:
+                        mats[d] = delta_matrix(parity, k, d, op=delta)
+                sq = mats[m + 1].compose(mats[m])
                 checked += 1
                 if not sq.is_zero():
                     failures.append([parity, k, m])
     order4 = sum(len(basis(ODD, 4, m)) for m in _bidegrees(ODD, 4))
     direct4 = 0
     if order4 <= 2000:
+        image = lru_cache(maxsize=None)(delta)
         for m in _bidegrees(ODD, 4):
             for g in basis(ODD, 4, m):
                 direct4 += 1
-                if not delta_vector(delta(g)).is_zero():
+                if not linear(image, image(g)).is_zero():
                     failures.append([ODD, 4, m])
     return {"name": "dsquared", "passed": not failures,
             "detail": {"bidegrees": checked, "odd_order4_graphs": direct4,
@@ -145,7 +157,12 @@ def criterion_chord_part_injective() -> dict:
 def criterion_framed_suite() -> dict:
     """The crossed coboundary and the short-chord-free coboundary square
     to zero at order <= 3; the substitution map intertwines them and is
-    independent of the chord processing order."""
+    independent of the chord processing order.  Like
+    ``criterion_dsquared``, it maps each graph once per operator through
+    memos local to this call."""
+    framed = lru_cache(maxsize=None)(delta_framed)
+    underline = lru_cache(maxsize=None)(delta_underline)
+    substitution = lru_cache(maxsize=None)(short_chord_substitution)
     detail = {}
     ok = True
     bad = 0
@@ -158,7 +175,7 @@ def criterion_framed_suite() -> dict:
                 break
             for g in fb:
                 n += 1
-                if not linear(delta_framed, delta_framed(g)).is_zero():
+                if not linear(framed, framed(g)).is_zero():
                     bad += 1
             m += 1
     detail["framed_dsquared"] = {"graphs": n, "failures": bad}
@@ -172,10 +189,10 @@ def criterion_framed_suite() -> dict:
         for m in _bidegrees(ODD, k):
             for g in basis(ODD, k, m):
                 n += 1
-                if not delta_underline_vector(delta_underline(g)).is_zero():
+                if not linear(underline, underline(g)).is_zero():
                     bad += 1
-                lhs = linear(short_chord_substitution, delta_underline(g))
-                rhs = linear(delta_framed, short_chord_substitution(g))
+                lhs = linear(substitution, underline(g))
+                rhs = linear(framed, substitution(g))
                 if lhs != rhs:
                     chain_bad += 1
                 chords = g.short_chords()
@@ -183,7 +200,7 @@ def criterion_framed_suite() -> dict:
                     order_n += 1
                     alt = short_chord_substitution(
                         g, chord_order=list(reversed(chords)))
-                    if alt != short_chord_substitution(g):
+                    if alt != substitution(g):
                         order_bad += 1
     detail["underline_dsquared"] = {"graphs": n, "failures": bad}
     detail["chain_map"] = {"graphs": n, "failures": chain_bad}

@@ -10,8 +10,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from circlegc import verification as vf
-from circlegc.enumeration import basis
+from circlegc.enumeration import basis, framed_basis
 from circlegc.graphs import ODD, canonical_form
 
 
@@ -95,3 +97,41 @@ def test_determinism_criterion_recomputes_cold(monkeypatch):
     monkeypatch.setattr(vf, "criterion_h10_vanishes",
                         lambda: canonical_form.cache_info().misses)
     assert not vf.criterion_determinism()["passed"]
+
+
+def _break_one_image(monkeypatch, name, sources):
+    """Double the image under ``vf.<name>`` of one graph g that has a
+    nonzero image and is a term of the image of a source graph f.  The
+    square of the operator on f is then (coefficient of g) * image(g),
+    which is not zero."""
+    op = getattr(vf, name)
+    g = next(h for f in sources for _, h in op(f).terms
+             if not op(h).is_zero())
+
+    def broken(x, *args, **kwargs):
+        image = op(x, *args, **kwargs)
+        return image.scaled(2) if x == g else image
+
+    monkeypatch.setattr(vf, name, broken)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_dsquared_criterion_fails_on_a_broken_delta(monkeypatch, k):
+    """Order 3 goes through the composed matrices, order 4 through the
+    direct double application and its memo: both see the broken image."""
+    _break_one_image(monkeypatch, "delta", basis(ODD, k, 0))
+    result = vf.criterion_dsquared()
+    assert not result["passed"]
+    assert [ODD, k, 0] in result["detail"]["failures"]
+
+
+@pytest.mark.parametrize("name, sources, check", [
+    ("delta_framed", lambda: framed_basis(3, 0), "framed_dsquared"),
+    ("delta_underline", lambda: basis(ODD, 3, 0), "underline_dsquared"),
+], ids=["delta_framed", "delta_underline"])
+def test_framed_criterion_fails_on_a_broken_operator(monkeypatch, name,
+                                                     sources, check):
+    _break_one_image(monkeypatch, name, sources())
+    result = vf.criterion_framed_suite()
+    assert not result["passed"]
+    assert result["detail"][check]["failures"] > 0

@@ -3,6 +3,7 @@ and the one engine behind delta, delta_underline and delta_framed."""
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +147,25 @@ def test_operator_outputs_are_pinned(op, basis_fn, count, digest):
         acc.update(dumps(vector_to_dict(op(g))).encode())
     assert len(graphs) == count
     assert acc.hexdigest() == digest
+
+
+FRACTION_CASES = [
+    (delta, BOTH),
+    (delta_underline, BOTH),
+    (delta_framed, framed_basis),
+    (short_chord_substitution, lambda k, m: basis(ODD, k, m)),
+]
+
+
+@pytest.mark.parametrize("op, basis_fn", FRACTION_CASES,
+                         ids=[c[0].__name__ for c in FRACTION_CASES])
+def test_operator_coefficients_are_fractions(op, basis_fn):
+    """The operators sum their terms as ints; none may leak out, which
+    neither ``==`` nor the serialized form would show."""
+    rng = random.Random(51)
+    for g in _graphs(basis_fn):
+        for h in (g, decorated_variant(g, rng)[0]):
+            assert all(type(c) is Fraction for c, _ in op(h).terms), h
 
 
 def test_delta_is_delta_framed_on_framed_graphs():

@@ -215,6 +215,23 @@ def test_order5_degree0_pinned_to_chord_diagram_dimensions():
     assert a_space_dim(5) == 10
 
 
+# dim C^{5,m} for m = 0..7; the complex is zero above.
+ORDER5_DIM_C = {ODD: [589, 2343, 4014, 3704, 1910, 524, 63, 2],
+                EVEN: [551, 2347, 4093, 3707, 1861, 517, 70, 2]}
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_order5_delta_squares_to_zero(parity):
+    """d^2 = 0 on every bidegree of order 5: one matrix per degree, each
+    composed with the next."""
+    assert [len(basis(parity, 5, m)) for m in range(8)] \
+        == ORDER5_DIM_C[parity]
+    assert not basis(parity, 5, 8)
+    mats = [delta_matrix(parity, 5, m) for m in range(8)]
+    for m in range(7):
+        assert mats[m + 1].compose(mats[m]).is_zero(), m
+
+
 def test_delta_matrix_squares_to_zero():
     for parity in (ODD, EVEN):
         for k in (1, 2, 3):
