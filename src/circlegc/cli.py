@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .graphs import ODD, EVEN, is_canonical
+from .graphs import ODD, EVEN, canonical_form, is_canonical
 from .coboundary import delta
 from .enumeration import basis, framed_basis
 from .homology import cohomology
@@ -43,6 +43,14 @@ def _read_json(path):
     import json
     with open(path) as fh:
         return json.load(fh)
+
+
+def _read_graph(path):
+    """The graph in a JSON file; ``ValueError`` when ``canonical_form``
+    finds it malformed rather than zero by the relations."""
+    g = graph_from_dict(_read_json(path))
+    canonical_form(g)
+    return g
 
 
 def _cached_basis(parity: str, k: int, m: int, framed: bool):
@@ -111,7 +119,7 @@ _OPS = {"regular": delta, "framed": delta_framed,
 
 
 def cmd_delta(args):
-    g = graph_from_dict(_read_json(args.infile))
+    g = _read_graph(args.infile)
     op = _OPS[args.op]
     payload = {"tool": "circlegc", "version": __version__, "op": args.op,
                "vector": vector_to_dict(op(g))}
@@ -164,19 +172,15 @@ def cmd_astu_dim(args):
 
 
 def cmd_faces(args):
-    g = graph_from_dict(_read_json(args.audit))
+    g = _read_graph(args.audit)
     rep = audit_graph(g, args.n, extended=args.extended)
     payload = {"tool": "circlegc", "version": __version__, "n": rep.n,
                "extended": rep.extended, "total_subgraphs": rep.total,
                "verdicts": dict(sorted(rep.verdict_counts.items())),
                "principal_sites": [{"kind": s.kind, "index": s.index}
-                                   for s in sorted(
-                                       rep.principal_sites,
-                                       key=lambda s: (s.kind, s.index))],
+                                   for s in sorted(rep.principal_sites)],
                "expected_sites": [{"kind": s.kind, "index": s.index}
-                                  for s in sorted(
-                                      rep.expected_sites,
-                                      key=lambda s: (s.kind, s.index))],
+                                  for s in sorted(rep.expected_sites)],
                "principal_match": rep.principal_match,
                "unresolved": [{"face_type": sg.face_type,
                                "externals": list(sg.externals),

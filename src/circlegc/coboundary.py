@@ -35,15 +35,14 @@ contracted edge's label drop by one as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, AGAINST_ORDER,
                      DecoratedGraph, GraphVector, canonical_form, degree,
                      is_zero_by_relations, linear)
 
 
-@dataclass(frozen=True)
-class ContractionSite:
+class ContractionSite(NamedTuple):
     """A regular edge (by index into ``edges``) or an arc (by the label of
     the external vertex at which the arc starts)."""
     kind: str            # "edge" or "arc"

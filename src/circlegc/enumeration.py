@@ -169,40 +169,13 @@ def _decorate(parity: str, v_ext: int, v_int: int, shape,
     return DecoratedGraph(EVEN, v_ext, v_int, tuple(shape))
 
 
-def basis(parity: str, k: int, m: int):
-    """Canonical basis of the order-k degree-m space, sorted and deduped.
-
-    Every returned graph is its own canonical form with sign +1; zero
-    classes are dropped.
-    """
-    found = {}
-    if m < 0:
-        return []
-    for v_int in range(0, 2 * k - m):
-        v_ext = 2 * k - v_int - m
-        e = k + v_int
-        if v_ext < 1 or e < 1:
-            continue
-        min_val = tuple([1] * v_ext + [3] * v_int)
-        for shape in _shapes_cached(v_ext, v_int, e, min_val):
-            g = _decorate(parity, v_ext, v_int, shape)
-            res = canonical_form(g)
-            if res is not None:
-                found[res[0].sort_key()] = res[0]
-    return [found[key] for key in sorted(found)]
-
-
-def trivalent_basis(parity: str, k: int):
-    """Degree-0 basis: univalent external, trivalent internal vertices."""
-    return basis(parity, k, 0)
-
-
-def framed_basis(k: int, m: int):
-    """Canonical basis of the framed (crossed) odd space at framed order k
-    and framed degree m.  A crossed external vertex may be bare; at most
-    one cross sits on a vertex."""
-    found = {}
-    for x in range(0, k + 1):
+def _classes(parity: str, k: int, m: int, max_crosses: int):
+    """The canonical forms of the decorated shapes of order k and degree m
+    with up to ``max_crosses`` crosses, deduped and sorted; zero classes
+    are dropped.  With x crosses the uncrossed graph has order k - x and
+    degree m - x."""
+    found = set()
+    for x in range(0, max_crosses + 1):
         k0, m0 = k - x, m - x
         # e - v_int = k0 may legitimately be zero once crosses carry the
         # order; degree fixes v_ext = 2 e - 3 v_int - m0.
@@ -217,8 +190,29 @@ def framed_basis(k: int, m: int):
                 min_val = tuple([0 if v in crossed else 1
                                  for v in range(1, v_ext + 1)] + [3] * v_int)
                 for shape in _shapes_cached(v_ext, v_int, e, min_val):
-                    g = _decorate(ODD, v_ext, v_int, shape, crossed)
-                    res = canonical_form(g)
+                    res = canonical_form(_decorate(parity, v_ext, v_int,
+                                                   shape, crossed))
                     if res is not None:
-                        found[res[0].sort_key()] = res[0]
-    return [found[key] for key in sorted(found)]
+                        found.add(res[0])
+    return sorted(found)
+
+
+def basis(parity: str, k: int, m: int):
+    """Canonical basis of the order-k degree-m space, sorted and deduped.
+
+    Every returned graph is its own canonical form with sign +1; zero
+    classes are dropped.
+    """
+    return _classes(parity, k, m, 0) if m >= 0 else []
+
+
+def trivalent_basis(parity: str, k: int):
+    """Degree-0 basis: univalent external, trivalent internal vertices."""
+    return basis(parity, k, 0)
+
+
+def framed_basis(k: int, m: int):
+    """Canonical basis of the framed (crossed) odd space at framed order k
+    and framed degree m.  A crossed external vertex may be bare; at most
+    one cross sits on a vertex."""
+    return _classes(ODD, k, m, k)

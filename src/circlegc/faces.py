@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .graphs import DecoratedGraph
 from .coboundary import ContractionSite, contraction_sites
@@ -49,8 +50,6 @@ ZERO_BY_LEMMA_3 = "ZeroByLemma3"
 ZERO_BY_DEGREE_COUNT = "ZeroByDegreeCount"
 PRINCIPAL_CONTRIBUTION = "PrincipalContribution"
 UNRESOLVED = "Unresolved"
-
-INFINITY = "inf"
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,9 @@ class AdmissibleSubgraph:
     circle order starting at the run's first vertex (empty for types I
     and II); ``internals`` is the sorted tuple of collapsing internal
     vertices; ``at_infinity`` marks type II.  ``edge_indices`` lists the
-    induced edges (both endpoints collapsing) and ``arc_starts`` the
-    induced arcs; the formal infinity vertex never carries an edge.
+    induced edges (both endpoints collapsing) and ``valence`` counts them
+    at a vertex; both are computed once per subgraph.  The formal infinity
+    vertex never carries an edge.
     """
     graph: DecoratedGraph
     externals: tuple
@@ -163,28 +163,23 @@ class AdmissibleSubgraph:
         return FaceDescriptor(self.face_type, len(self.externals),
                               len(self.internals), self.n)
 
-    @property
-    def vertices(self) -> frozenset:
-        return frozenset(self.externals) | frozenset(self.internals)
-
-    @property
+    @cached_property
     def edge_indices(self) -> tuple:
-        vs = self.vertices
+        vs = set(self.externals + self.internals)
         return tuple(i for i, (a, b) in enumerate(self.graph.edges)
                      if a != b and a in vs and b in vs)
 
-    @property
-    def arc_starts(self) -> tuple:
-        """Arcs interior to the run of collapsing external vertices."""
-        return self.externals[:-1]
+    @cached_property
+    def _valences(self) -> dict:
+        val = {}
+        for i in self.edge_indices:
+            for v in self.graph.edges[i]:
+                val[v] = val.get(v, 0) + 1
+        return val
 
     def valence(self, v) -> int:
         """Number of induced edges ending at vertex v (arcs not counted)."""
-        if v == INFINITY:
-            return 0
-        return sum((a == v) + (b == v)
-                   for i, (a, b) in enumerate(self.graph.edges)
-                   if i in set(self.edge_indices))
+        return self._valences.get(v, 0)
 
 
 def _runs(g: DecoratedGraph, r: int):
@@ -283,8 +278,7 @@ class FaceAuditReport:
 
     @property
     def principal_match(self) -> bool:
-        return sorted(self.principal_sites, key=lambda s: (s.kind, s.index)) \
-            == sorted(self.expected_sites, key=lambda s: (s.kind, s.index))
+        return sorted(self.principal_sites) == sorted(self.expected_sites)
 
     @property
     def ok(self) -> bool:

@@ -24,7 +24,6 @@ on the one coboundary engine of ``coboundary``:
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from .graphs import (ODD, DecoratedGraph, GraphVector, is_zero_by_relations,
                      linear, perm_sign)
@@ -135,5 +134,5 @@ def short_chord_substitution(g: DecoratedGraph,
             first = sorted(combo)
             crosses = tuple(raw.crosses[first.index(idx)] for idx in combo)
             _add_term(acc, sign * perm_sign(combo),
-                      replace(raw, crosses=crosses), weight)
+                      raw._replace(crosses=crosses), weight)
     return GraphVector.from_canonical(acc, ODD)

@@ -42,13 +42,17 @@ II", 2014), branching only on ties and keeping every tie.  The surviving
 orderings of all rotations are exactly the relabellings whose row is least,
 so the representative and the sign check equal those of a scan over the
 whole orbit, which ``tests/test_graphs.py`` keeps as the reference.
+
+A graph is a named tuple of its fields, so its identity is that tuple:
+hashing, equality and the order that sorts bases, vector terms and matrix
+rows all compare ``(parity, v_ext, v_int, edges, loops, crosses)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 ODD = "odd"
 EVEN = "even"
@@ -61,9 +65,9 @@ WITH_ORDER = 0       # arrow goes from the first half-edge to the second
 AGAINST_ORDER = 1
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
-    """One decorated graph of odd or even type.
+class DecoratedGraph(NamedTuple):
+    """One decorated graph of odd or even type, identified, hashed and
+    ordered as the tuple of its fields.
 
     ``edges``:
       odd  -- tuple of oriented pairs ``(tail, head)`` between *distinct*
@@ -103,10 +107,6 @@ class DecoratedGraph:
 
     def is_external(self, label: int) -> bool:
         return 1 <= label <= self.v_ext
-
-    def sort_key(self):
-        return (self.parity, self.v_ext, self.v_int, self.edges,
-                self.loops, self.crosses)
 
     # -- derived structure ----------------------------------------------
 
@@ -547,8 +547,7 @@ class GraphVector:
     @property
     def terms(self):
         """Sorted list of ``(coefficient, canonical graph)`` pairs."""
-        return [(self._terms[g], g)
-                for g in sorted(self._terms, key=DecoratedGraph.sort_key)]
+        return [(self._terms[g], g) for g in sorted(self._terms)]
 
     def items(self):
         """Unsorted ``(canonical graph, coefficient)`` pairs."""

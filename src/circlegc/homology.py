@@ -36,8 +36,7 @@ class SparseRationalMatrix:
     def __init__(self, row_basis, col_basis):
         self.row_basis = list(row_basis)
         self.col_basis = list(col_basis)
-        self.row_index = {g.sort_key(): i
-                          for i, g in enumerate(self.row_basis)}
+        self.row_index = {g: i for i, g in enumerate(self.row_basis)}
         self.columns = [dict() for _ in self.col_basis]
 
     @property
@@ -49,8 +48,7 @@ class SparseRationalMatrix:
 
     def compose(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """self @ other; other's row basis must be self's column basis."""
-        if [g.sort_key() for g in other.row_basis] != \
-                [g.sort_key() for g in self.col_basis]:
+        if other.row_basis != self.col_basis:
             raise ValueError("basis mismatch in composition")
         out = SparseRationalMatrix(self.row_basis, other.col_basis)
         for j, col in enumerate(other.columns):
@@ -194,8 +192,7 @@ def delta_matrix(parity: str, k: int, m: int,
     mat = SparseRationalMatrix(tgt, src)
     for j, g in enumerate(src):
         # distinct canonical graphs, nonzero coefficients: one entry each
-        mat.columns[j] = {mat.row_index[h.sort_key()]: c
-                          for h, c in op(g).items()}
+        mat.columns[j] = {mat.row_index[h]: c for h, c in op(g).items()}
     return mat
 
 

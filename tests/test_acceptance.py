@@ -5,6 +5,7 @@ detailed per-property coverage lives in the other test modules, while
 this file asserts the headline criteria end to end.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -69,6 +70,12 @@ def test_criterion_10_faces_suite():
     _report(10, vf.criterion_faces_suite())
 
 
+# SHA-256 of the "verify --suite all" report, pinned before graphs became
+# tuples
+ALL_DIGEST = \
+    "8b84376c226a39648d8bd69278b34cef6f9ec2fc9c6eebb7ea278e74f49ea332"
+
+
 def test_criterion_11_determinism(tmp_path):
     start = time.monotonic()
     reports = []
@@ -86,6 +93,7 @@ def test_criterion_11_determinism(tmp_path):
     ok = reports[0] == reports[1] and elapsed < 900
     print("criterion 11 (determinism): %s" % ("PASS" if ok else "FAIL"))
     assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0]).hexdigest() == ALL_DIGEST
     assert elapsed < 900
 
 

@@ -196,6 +196,35 @@ def test_delta_bad_input_exits_2_with_message(tmp_path, capsys, text):
     assert "Traceback" not in captured.err
 
 
+# an internal vertex of valence 2: malformed, not zero by the relations
+VALENCE_TWO = json.dumps({
+    "parity": "odd", "v_ext": 2, "v_int": 1,
+    "edges": [{"from": {"ext": 1}, "to": {"int": 1}, "oriented": True},
+              {"from": {"int": 1}, "to": {"ext": 2}, "oriented": True}]})
+
+
+@pytest.mark.parametrize("argv", [["delta", "--in"],
+                                  ["faces", "--n", "5", "--audit"]],
+                         ids=["delta", "faces"])
+def test_malformed_graph_exits_2_with_message(tmp_path, capsys, argv):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(VALENCE_TWO)
+    assert main(argv + [str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("circlegc: error: invalid graph: internal "
+                            "vertex 3 has valence 2 < 3\n")
+
+
+def test_delta_of_a_graph_zero_by_the_relations(tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    chord = {"from": {"ext": 1}, "to": {"ext": 2}, "oriented": True}
+    gfile.write_text(_chord(edges=[chord, chord]))       # a doubled chord
+    code, text = run(capsys, "delta", "--in", str(gfile))
+    assert code == 0
+    assert json.loads(text)["vector"]["terms"] == []
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["delta", "--in", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().err.startswith("circlegc: error: ")
@@ -247,8 +276,8 @@ def test_contradictory_flags_exit_2_with_message(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-# SHA-256 of the fast verify reports, pinned before the coboundary
-# operators were folded into one engine
+# SHA-256 of the verify reports, pinned before the coboundary operators
+# were folded into one engine ("weights" before graphs became tuples)
 VERIFY_DIGESTS = {
     "dsquared":
         "24579ac28e29b61b093f535074df1efd87527c2c7e6614cd4d86e855eff1a628",
@@ -260,6 +289,8 @@ VERIFY_DIGESTS = {
         "1e3b50cad86d0412465e63a2356e5abb3536ed7754e3f48383955b99db410d0a",
     "faces":
         "c3b91ae36a4698bbd14673649a42d241cf81365c5784e5c001c6a6aca1d8b3b1",
+    "weights":
+        "916b8b67cb620fb5a183027cb8de463cc8dff272c62f0404900345c1d61018d5",
 }
 
 
@@ -269,6 +300,64 @@ def test_verify_report_bytes_are_pinned(tmp_path, suite):
     assert main(["verify", "--suite", suite, "--report", str(report)]) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == VERIFY_DIGESTS[suite]
+
+
+# SHA-256 of the reports over the order-4 table, degrees 0..7, pinned
+# before graphs became tuples
+ORDER4_DIGESTS = {
+    ("cohomology", "even"): [
+        "0520fab300881b0633211c67eade75035629d1ce2e766456997d7901954f3327",
+        "7f3a724cc2b4438a041329592762e3bee05b77238df90044854702f6c0881a46",
+        "591ecfca4fcf9f134229dd9341b97bf864a04e1b0160d1b89c7f61aa3acf2e3c",
+        "901deb40c9c9d056d2141b1789de5361bf751ad019b59aaf0f06750abbf97633",
+        "6583d01e08ea94394404704d74a8679498472cee4f8207e9f30f607720ddfca3",
+        "06a47fd136785f436f525c93fe4aeee6196c5e020a43461b9aa593cdeeb8f72b",
+        "9cef46d586af95589728ecd54195a624b06981874062233c756abd399a070a84",
+        "71edf45671f9aa3c7dc60e8828ffd7574f5cbbd9f4c0d1e442091bf9b0bd5583",
+    ],
+    ("cohomology", "odd"): [
+        "9b9cf5be37d5bcc0cf1a7e60fc66b3e32a4b210e679b9ce7b719b6c69096d9ca",
+        "0f1a9df7b5ce78f6037d6344849ef3bc6a7f43026c50f33d04b761e3b2977dce",
+        "82cade1e356ac440568fae954f47511bdaa1682244f604f01aad9a4fa7dae3aa",
+        "4ff6306fc48d51e379627aac95df2a7011755fcf205f022664e811f391b919cd",
+        "5e8e2e40fe2a6cc1991c18fdd3a534c378b3cb7a022e1805c3297f285e39499b",
+        "df37e879597ebe4b33d0275b7ab74e53b51d6205dd6114a6dd77f5ed671a44c7",
+        "f2db7c0652e50facc9d8532e5668962a66fda77d2cee1038d8ac6472ff71a9a0",
+        "bd6c5988721a5e6b32d1bc785e7bd93bc3e2d3cc45606862da9c0497f58fee5d",
+    ],
+    ("enumerate", "even"): [
+        "b1d593a95c48a344fee03af2c9dbb91bfd215f773bab5e4fba41fb22793a5891",
+        "6193451f330570f7494f843dcd1a0a46fa95dd86e25670404e4b7200a39f7b3a",
+        "22520d4831a570391edd1e18481bfe6b66e3c9d44284a266855f1f7ed22c3647",
+        "17fb2782729af2d94739d4cfde54d951d1ac850a4f2bc3323bb061748aef3ff9",
+        "7b41f0e5519cd7dab69bbf055554715e5c2d36baf750d342aecdeb31715aaee5",
+        "66292b5f1b049c9ebf0dc64909739d01c4e1942c135b7ba4169df9ccfdbbad2c",
+        "68328fb3c7196f493c451e1338e64c2425a6863e45aa72816454ee2e9a246a5d",
+        "677c6fab7b266514e0a93aae660b454d5ca0aeea161a324b29e97f9e03081001",
+    ],
+    ("enumerate", "odd"): [
+        "0aa623297dae3fac701418e308db4f77de9c492cf0d94b069fee5c60c2a8b149",
+        "f4dfb2102a6af218146c4af15d5091f69d8fa40d1d4d398ac3b6071ca47e67fd",
+        "464ce72b22b471437531045f56f310bd0c28953da4fceeb39e6909a02f10abd1",
+        "2413a7acbfcc67a93cf46bdb87e4d972aa24b28f5aa2a2152af694c3fce00a81",
+        "6c7271488128be79d3485340cd84f5e6b636f858ea7c6619fed6bc52929562b0",
+        "9c78a9c586802b0f16b5d73e8fd93088f0b47374bc5f496a3291530eddb6e895",
+        "339f7dca183f924768ad79cda2a0975d099294e10f192955870221a75fe8ba6e",
+        "5d6771192c7ca56f3729d1843b5620d0f32ba07086016a91a67c742d891feae3",
+    ],
+}
+
+
+@pytest.mark.parametrize("command, parity", sorted(ORDER4_DIGESTS))
+def test_order4_report_bytes_are_pinned(tmp_path, command, parity):
+    flag = "--out" if command == "enumerate" else "--report"
+    digests = []
+    for m in range(8):
+        report = tmp_path / ("%d.json" % m)
+        assert main([command, "--parity", parity, "--order", "4",
+                     "--degree", str(m), flag, str(report)]) == 0
+        digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
+    assert digests == ORDER4_DIGESTS[command, parity]
 
 
 def test_cli_import_leaves_numpy_unloaded():

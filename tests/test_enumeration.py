@@ -126,12 +126,8 @@ def test_shape_search_is_an_ordered_sublist_of_reference():
 
 def _classes(graphs):
     """The sorted, deduped nonzero canonical forms of ``graphs``."""
-    found = {}
-    for g in graphs:
-        res = canonical_form(g)
-        if res is not None:
-            found[res[0].sort_key()] = res[0]
-    return [found[key] for key in sorted(found)]
+    return sorted({res[0] for res in map(canonical_form, graphs)
+                   if res is not None})
 
 
 @pytest.mark.parametrize("parity", [ODD, EVEN])
