@@ -45,10 +45,10 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _read_graph(path):
-    """The graph in a JSON file; ``ValueError`` when ``canonical_form``
+def _checked_graph(data):
+    """The graph ``data`` describes; ``ValueError`` when ``canonical_form``
     finds it malformed rather than zero by the relations."""
-    g = graph_from_dict(_read_json(path))
+    g = graph_from_dict(data)
     canonical_form(g)
     return g
 
@@ -119,7 +119,7 @@ _OPS = {"regular": delta, "framed": delta_framed,
 
 
 def cmd_delta(args):
-    g = _read_graph(args.infile)
+    g = _checked_graph(_read_json(args.infile))
     op = _OPS[args.op]
     payload = {"tool": "circlegc", "version": __version__, "op": args.op,
                "vector": vector_to_dict(op(g))}
@@ -172,7 +172,7 @@ def cmd_astu_dim(args):
 
 
 def cmd_faces(args):
-    g = _read_graph(args.audit)
+    g = _checked_graph(_read_json(args.audit))
     rep = audit_graph(g, args.n, extended=args.extended)
     payload = {"tool": "circlegc", "version": __version__, "n": rep.n,
                "extended": rep.extended, "total_subgraphs": rep.total,
@@ -196,9 +196,10 @@ def cmd_export_dot(args):
     graphs = data.get("graphs", [data]) if isinstance(data, dict) else None
     if not isinstance(graphs, list):
         raise ValueError("expected a graph or an object with a graphs list")
+    # every graph is checked before anything is drawn
+    graphs = [_checked_graph(gd) for gd in graphs]
     texts = []
-    for i, gd in enumerate(graphs):
-        g = graph_from_dict(gd)
+    for i, g in enumerate(graphs):
         text = graph_to_dot(g, name="g%d" % i)
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)

@@ -29,8 +29,19 @@ v_ext - x standing for external x.  A shape survives only if
     strictly more bits (ties survive).  This is checked once per branch,
     at the first pair past row v_ext, or at a leaf that has none.
 
-Both use the ordering of ``graphs._canonical``, (b) through the same
-``graphs._external_rows``.  No class is lost.  In each class take the
+Test (b) starts from the leading row.  Row 1 is the top n bits of the
+external rows (n = v_ext + v_int).  Under the rotation taking external x
+to label 1 it holds the loop bit of x, its rotated external neighbours,
+and then a run of ones, one per internal neighbour of x, since those sort
+first (``_lead_row``).  A rotation whose leading row is greater than
+external 1's gives more bits, whatever follows, and fails (b); one whose
+leading row is smaller cannot win.  Row x is complete once the search has
+passed it, so a branch stops at the first pair past a row x whose leading
+row beats external 1's, and the whole external rows are compared only for
+the rotations that tie on it.
+
+(a) and (b) use the ordering of ``graphs._canonical``, (b) through the
+same ``graphs._external_rows``.  No class is lost.  In each class take the
 relabelling with the greatest bitstring; the bitstring fixes the labelled
 shape.  Its internal vertices first appear in label order (else exchanging
 the first one out of order with the least unused label gives a greater
@@ -56,18 +67,45 @@ from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
                      _connected, _external_rows, _pair_bits, canonical_form)
 
 
-def _rotations_lose(v_ext: int, mask: list, pairs) -> bool:
+def _lead_row(v_ext: int, n: int, x: int, nbrs) -> int:
+    """Row 1 of the adjacency bitstring, as an n-bit number, once the
+    rotation has taken external x to label 1, ``nbrs`` being the neighbours
+    of x: its loop bit, its rotated external neighbours, then one leading
+    one per internal neighbour, since those sort first."""
+    row = 0
+    d = 0
+    for y in nbrs:
+        if y <= v_ext:
+            row |= 1 << (n - 1 - (y - x) % v_ext)
+        else:
+            d += 1
+    return row | ((1 << d) - 1) << (n - v_ext - d)
+
+
+def _rotations_lose(v_ext: int, mask: list, nbrs: list, pairs) -> bool:
     """Test (b) on the external rows ``pairs``, where ``mask[u]`` is the
-    non-increasing mask of internal vertex u: True when no rotation gives
-    them more bits than they have."""
+    non-increasing mask of internal vertex u and ``nbrs[x]`` the neighbours
+    of external x: True when no rotation gives them more bits than they
+    have."""
     n = len(mask) - 1
+    lead = _lead_row(v_ext, n, 1, nbrs[1])
+    tied = []
+    for x in range(2, v_ext + 1):
+        row = _lead_row(v_ext, n, x, nbrs[x])
+        if row > lead:
+            return False
+        if row == lead:
+            # the rotation taking x to label 1
+            tied.append(v_ext + 1 - x)
+    if not tied:
+        return True
     ext_mask = {u: mask[u] for u in range(v_ext + 1, n + 1)}
     bits = _pair_bits(n)
     label = [0] * (n + 1)
     # the masks do not increase, so rotation 0 keeps every label
     own = sum([bits[a][b] for a, b in pairs])
     return all(_external_rows(r, v_ext, ext_mask, pairs, bits, label)[0]
-               <= own for r in range(1, v_ext))
+               <= own for r in tied)
 
 
 def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
@@ -88,6 +126,7 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
     out = []
     val = [0] * (nv + 1)
     mask = [0] * (nv + 1)                # external masks, for (a) and (b)
+    nbrs = [[] for _ in range(nv + 1)]   # neighbours of the externals
     need_val = (0,) + tuple(min_val)
     # running sums of max(0, min_val - val) and max(0, val - min_val) over
     # the vertices, updated one edge end at a time
@@ -101,7 +140,8 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
         ext_open = not chosen or chosen[-1][0] <= v_ext
         if need == 0:
             if deficit == 0 and (not ext_open or _rotations_lose(
-                    v_ext, mask, chosen)) and _connected(v_ext, nv, chosen):
+                    v_ext, mask, nbrs, chosen)) \
+                    and _connected(v_ext, nv, chosen):
                 out.append(tuple(chosen))
             return
         if len(pool) - idx < need or deficit > 2 * need:
@@ -114,9 +154,17 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
             if a != row:
                 if val[row] < need_val[row]:
                     break
+                # the rows before a are complete: an external among them
+                # whose leading row beats external 1's fails (b)
+                done = range(max(row, 2), min(a, v_ext + 1))
+                if done:
+                    lead = _lead_row(v_ext, nv, 1, nbrs[1])
+                    if any(_lead_row(v_ext, nv, x, nbrs[x]) > lead
+                           for x in done):
+                        break
                 # every later pair keeps the external rows as chosen
                 if ext_open and a > v_ext:
-                    if not _rotations_lose(v_ext, mask, chosen):
+                    if not _rotations_lose(v_ext, mask, nbrs, chosen):
                         break
                     ext_open = False
                 row = a
@@ -137,7 +185,15 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
                 val[v] += 1
             if excess <= slack:
                 chosen.append((a, b))
+                if a <= v_ext:
+                    nbrs[a].append(b)
+                    if a < b <= v_ext:
+                        nbrs[b].append(a)
                 grow(j + 1, chosen, max(max_int_used, hi_int))
+                if a <= v_ext:
+                    nbrs[a].pop()
+                    if a < b <= v_ext:
+                        nbrs[b].pop()
                 chosen.pop()
             for v in (b, a):
                 val[v] -= 1

@@ -204,8 +204,9 @@ VALENCE_TWO = json.dumps({
 
 
 @pytest.mark.parametrize("argv", [["delta", "--in"],
-                                  ["faces", "--n", "5", "--audit"]],
-                         ids=["delta", "faces"])
+                                  ["faces", "--n", "5", "--audit"],
+                                  ["export-dot", "--in"]],
+                         ids=["delta", "faces", "export-dot"])
 def test_malformed_graph_exits_2_with_message(tmp_path, capsys, argv):
     gfile = tmp_path / "g.json"
     gfile.write_text(VALENCE_TWO)
@@ -223,6 +224,15 @@ def test_delta_of_a_graph_zero_by_the_relations(tmp_path, capsys):
     code, text = run(capsys, "delta", "--in", str(gfile))
     assert code == 0
     assert json.loads(text)["vector"]["terms"] == []
+
+
+def test_export_dot_draws_a_graph_zero_by_the_relations(tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    chord = {"from": {"ext": 1}, "to": {"ext": 2}, "oriented": True}
+    gfile.write_text(_chord(edges=[chord, chord]))       # a doubled chord
+    code, text = run(capsys, "export-dot", "--in", str(gfile))
+    assert code == 0
+    assert text.startswith("digraph") and text.rstrip().endswith("}")
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -358,6 +368,38 @@ def test_order4_report_bytes_are_pinned(tmp_path, command, parity):
                      "--degree", str(m), flag, str(report)]) == 0
         digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
     assert digests == ORDER4_DIGESTS[command, parity]
+
+
+# SHA-256 of the order-5 enumerate reports at degrees 3..7, the ones the
+# perfbench enumerate-o5 workload writes, pinned before the shape search
+# compared leading rows
+ORDER5_ENUMERATE_DIGESTS = {
+    "even": [
+        "67b3c27a6937c6f44c2814798431354d9e587324026d743133113e8a8045ac2c",
+        "13c936e4a73b424619a73be82e2d930debea2233d0bca0ec43305b6457fec7fc",
+        "f5280dc470b68b10212656f0348b0b15c916f2de747414fba53a8406506aa7df",
+        "5a7670d981f5c269e3f77b368c376cda4a0562f3cdf7232b7c0755f4560b6db5",
+        "59ec046add9f9389bb3bdbdc47c2cc466b2535717941063bbd608489bac67b00",
+    ],
+    "odd": [
+        "97ca0ee925a07136f83d90a704ca3b9d757e3701838a49017fd15f6bf1b42e45",
+        "24913dfc29b7b7df1a349063384c7f374ac8dab4aaac1fee401fc34df8f874e9",
+        "d4be22d293d04a954676e3f1b2977a7575ab59228244d30ec2afa7f0038dab12",
+        "a6b8c23fad9cb3f2523e827bac6b70ea0c882e62c395d95aeac8317ab02b202b",
+        "8140ebfe1ad486079812b3842a2dc9b1f69b022d5b6cda1758d5bb363951e231",
+    ],
+}
+
+
+@pytest.mark.parametrize("parity", sorted(ORDER5_ENUMERATE_DIGESTS))
+def test_order5_enumerate_report_bytes_are_pinned(tmp_path, parity):
+    digests = []
+    for m in range(3, 8):
+        report = tmp_path / ("%d.json" % m)
+        assert main(["enumerate", "--parity", parity, "--order", "5",
+                     "--degree", str(m), "--out", str(report)]) == 0
+        digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
+    assert digests == ORDER5_ENUMERATE_DIGESTS[parity]
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -5,8 +5,9 @@ import itertools
 import pytest
 
 from circlegc import enumeration
-from circlegc.graphs import (ODD, EVEN, DecoratedGraph, canonical_form,
-                             degree, is_canonical, order, validate)
+from circlegc.graphs import (ODD, EVEN, DecoratedGraph, _external_rows,
+                             _pair_bits, canonical_form, degree,
+                             is_canonical, order, validate)
 from circlegc.enumeration import basis, framed_basis, trivalent_basis
 
 from conftest import (reference_framed_shapes, reference_labelled_shapes,
@@ -122,6 +123,32 @@ def test_shape_search_is_an_ordered_sublist_of_reference():
         # of every class is among these; it moves crossed (bare) ones
         if 0 not in a[3]:
             assert bool(pruned) == bool(everything), a
+
+
+def _passes_a_and_b(v_ext, v_int, shape):
+    """Tests (a) and (b) of the ``enumeration`` docstring on a whole shape,
+    with every rotation's external rows compared in full."""
+    n = v_ext + v_int
+    ext_mask = dict.fromkeys(range(v_ext + 1, n + 1), 0)
+    for a, b in shape:
+        if a <= v_ext < b:
+            ext_mask[b] |= 1 << (v_ext - a)
+    masks = list(ext_mask.values())
+    if masks != sorted(masks, reverse=True):
+        return False
+    pairs = [(a, b) for a, b in shape if a <= v_ext]
+    bits = _pair_bits(n)
+    label = [0] * (n + 1)
+    own = sum(bits[a][b] for a, b in pairs)
+    return all(_external_rows(r, v_ext, ext_mask, pairs, bits, label)[0]
+               <= own for r in range(1, v_ext))
+
+
+def test_shape_search_is_the_reference_filtered_by_a_and_b():
+    for a in _search_args():
+        assert enumeration._underlying_shapes(*a) == \
+            [s for s in reference_shapes(*a)
+             if _passes_a_and_b(a[0], a[1], s)], a
 
 
 def _classes(graphs):
