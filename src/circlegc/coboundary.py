@@ -190,7 +190,10 @@ def _add_term(acc: dict, sign: int, raw: DecoratedGraph,
 
 def _coboundary(g: DecoratedGraph, skip_arcs=()) -> GraphVector:
     """Signed sum over the sites of ``g``, the arcs starting at a vertex in
-    ``skip_arcs`` left out, plus one term per cross."""
+    ``skip_arcs`` left out, plus one term per cross; zero on a graph zero
+    by the relations."""
+    if is_zero_by_relations(g):
+        return GraphVector(parity=g.parity)
     acc = {}
     weight = orientation_sign(g)
     for site in contraction_sites(g):

@@ -17,8 +17,15 @@ internal relabellings (odd, signed by the permutation parity), cyclic
 relabellings of the external vertices (signed), arrow reversals (odd, one
 sign each), half-edge order swaps on small loops (odd, one sign each), edge
 relabellings (even, signed), anonymous internal renamings (even, unsigned),
-and cross renumberings (framed graphs, signed).  Graphs with a repeated
-(unordered) endpoint pair, or with an internal small loop, are zero.
+and cross renumberings (framed graphs, signed).
+
+Four relations make a graph zero, and only ``is_zero_by_relations`` names
+them: a multiple edge (two edges, or in odd parity two ``loops`` entries,
+on one unordered endpoint pair); an internal small loop (an edge ``(a, a)``
+when even, a ``loops`` entry when odd); and, in the framed complex, which
+is odd, a small loop on a crossed vertex or two crosses on one vertex.
+``validate`` reports malformations only; ``canonical_form`` refuses a
+malformed graph even when it is also zero.
 
 ``canonical_form`` picks the lexicographically least representative of the
 decoration orbit and accumulates the sign; it returns ``None`` when the
@@ -77,7 +84,7 @@ class DecoratedGraph(NamedTuple):
               loops appear here as ``(a, a)``.
 
     ``loops``: odd parity only; tuple of ``(vertex, order_flag, arrow_flag)``
-    for each external small loop.
+    for each small loop (one on an internal vertex makes the graph zero).
 
     ``crosses``: framed decoration (odd parity only); tuple of vertex labels
     in cross label order (position a-1 holds the vertex of the cross
@@ -162,12 +169,10 @@ def degree(g: DecoratedGraph) -> int:
 
 
 def validate(g: DecoratedGraph) -> list:
-    """Return a list of violation strings; empty means the graph is usable.
+    """Return a list of malformations; empty means the graph is usable.
 
-    Violations 'multiple edge', 'internal small loop', 'small loop on a
-    crossed vertex' and 'more than one cross on a vertex' mean the graph
-    is zero in the quotient (``is_zero_by_relations``); the others mean it
-    is malformed.
+    A well-formed graph may still be zero by the relations, which only
+    ``is_zero_by_relations`` names.
     """
     bad = []
     if g.parity not in (ODD, EVEN):
@@ -180,48 +185,30 @@ def validate(g: DecoratedGraph) -> list:
         bad.append("negative internal vertex count")
     n = v_ext + g.v_int
     val = [0] * (max(n, 0) + 1)          # edge ends per vertex label
-    pairs = []                           # unordered endpoint pairs
     joined = []                          # the edges between valid labels
     for a, b in g.edges:
         if not (1 <= a <= n and 1 <= b <= n):
             bad.append("edge (%d,%d) endpoint out of range" % (a, b))
         else:
-            if a == b:
-                if g.parity == ODD:
-                    bad.append("odd-parity loop (%d,%d) belongs in loops"
-                               % (a, b))
-                elif a > v_ext:
-                    bad.append("internal small loop at %d" % a)
+            if a == b and g.parity == ODD:
+                bad.append("odd-parity loop (%d,%d) belongs in loops"
+                           % (a, b))
             val[a] += 1
             val[b] += 1
             joined.append((a, b))
-        pairs.append((a, b) if a <= b else (b, a))
     if g.parity == EVEN and (g.loops or g.crosses):
         bad.append("even parity carries no loop decorations or crosses")
     for v, of, af in g.loops:
         if not 1 <= v <= n:
             bad.append("small loop vertex %d out of range" % v)
         else:
-            if v > v_ext:
-                bad.append("internal small loop at %d" % v)
             val[v] += 2
         if of not in (0, 1) or af not in (0, 1):
             bad.append("bad small-loop decoration at %d" % v)
-        pairs.append((v, v))
-    if len(set(pairs)) < len(pairs):
-        seen = {}
-        for pair in pairs:
-            seen[pair] = seen.get(pair, 0) + 1
-        bad.extend("multiple edge between %d and %d" % pair
-                   for pair, cnt in seen.items() if cnt > 1)
     crosses = g.crosses
     for v in crosses:
         if not 1 <= v <= v_ext:
             bad.append("cross on non-external vertex %d" % v)
-    if len(set(crosses)) != len(crosses):
-        bad.append("more than one cross on a vertex")
-    if crosses and any(v in crosses for v, _, _ in g.loops):
-        bad.append("small loop on a crossed vertex")
     for v in range(v_ext + 1, n + 1):
         if val[v] < 3:
             bad.append("internal vertex %d has valence %d < 3" % (v, val[v]))
@@ -257,10 +244,10 @@ def _connected(v_ext: int, n: int, pairs) -> bool:
 
 
 def is_zero_by_relations(g: DecoratedGraph) -> bool:
-    """True if the graph is zero because of a multiple edge, an internal
-    small loop, a small loop on a crossed vertex, or two crosses on one
-    vertex, the square of an odd form (without looking at the decoration
-    orbit)."""
+    """True if the graph is zero by one of the relations, without looking
+    at the decoration orbit: a multiple edge, an internal small loop, a
+    small loop on a crossed vertex, or two crosses on one vertex (the
+    square of an odd form)."""
     seen = set()
     for a, b in g.edges:
         if a == b and not g.is_external(a):
@@ -270,11 +257,9 @@ def is_zero_by_relations(g: DecoratedGraph) -> bool:
             return True
         seen.add(pair)
     for v, _, _ in g.loops:
-        if (v, v) in seen:
+        if v > g.v_ext or v in g.crosses or (v, v) in seen:
             return True
         seen.add((v, v))
-    if g.crosses and any(v in g.crosses for v, _, _ in g.loops):
-        return True
     return len(set(g.crosses)) != len(g.crosses)
 
 
@@ -487,9 +472,9 @@ def canonical_form(g: DecoratedGraph):
     """
     bad = validate(g)
     if bad:
-        if is_zero_by_relations(g):
-            return None
         raise ValueError("invalid graph: %s" % "; ".join(bad))
+    if is_zero_by_relations(g):
+        return None
     res = _canonical(g)
     if res is not None and res[0] == g:
         return g, res[1]

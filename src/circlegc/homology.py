@@ -201,11 +201,9 @@ def cohomology(parity: str, k: int, m: int,
     """Exact cohomology at bidegree (k, m) for the chosen coboundary."""
     out_mat = delta_matrix(parity, k, m, op=op, basis_fn=basis_fn)
     ker = out_mat.kernel()
-    if m - 1 >= 0 or basis_fn(parity, k, m - 1):
-        rank_prev = delta_matrix(parity, k, m - 1,
-                                 op=op, basis_fn=basis_fn).rank()
-    else:
-        rank_prev = 0
+    # every basis at degree -1 is empty
+    rank_prev = delta_matrix(parity, k, m - 1, op=op,
+                             basis_fn=basis_fn).rank() if m > 0 else 0
     src = out_mat.col_basis
     cocycles = [GraphVector.from_canonical(dict(zip(src, vec)), parity)
                 for vec in ker]

@@ -96,8 +96,9 @@ def graph_to_dict(g: DecoratedGraph) -> dict:
 def graph_from_dict(data: dict) -> DecoratedGraph:
     """The graph a JSON object describes; ``ValueError`` when a key is
     missing, a count, label or endpoint is not an integer in range, or a
-    loop flag is unknown.  Whether the graph is usable (valences,
-    connectivity, multiple edges) is left to ``graphs.validate``."""
+    loop flag is unknown.  Whether the graph is well formed (valences,
+    connectivity) is left to ``graphs.validate``, and whether it is zero
+    (multiple edges among others) to ``graphs.is_zero_by_relations``."""
     parity = _field(data, "parity")
     if parity not in (ODD, EVEN):
         raise ValueError("parity must be 'odd' or 'even'")

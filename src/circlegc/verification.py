@@ -111,11 +111,6 @@ def criterion_h10_vanishes() -> dict:
             "detail": {"dims": dims}}
 
 
-def _kernel_vectors(parity: str, k: int):
-    mat = delta_matrix(parity, k, 0)
-    return mat.col_basis, mat.kernel()
-
-
 def criterion_chord_diagram_presence() -> dict:
     """Every degree-0 cocycle at orders 2 and 3 contains a chord diagram
     with nonzero coefficient, and none of its graphs has a short chord."""
@@ -123,14 +118,11 @@ def criterion_chord_diagram_presence() -> dict:
     checked = 0
     for parity in (ODD, EVEN):
         for k in (2, 3):
-            src, ker = _kernel_vectors(parity, k)
-            for vec in ker:
+            for v in cohomology(parity, k, 0).cocycle_basis:
                 checked += 1
-                has_chord_diagram = any(
-                    c and g.v_int == 0 for c, g in zip(vec, src))
-                short = any(c and g.short_chords()
-                            for c, g in zip(vec, src))
-                if not has_chord_diagram or short:
+                graphs = [g for g, _ in v.items()]
+                if not any(g.v_int == 0 for g in graphs) \
+                        or any(g.short_chords() for g in graphs):
                     failures.append([parity, k])
     return {"name": "chord_diagram_presence", "passed": not failures,
             "detail": {"cocycles_checked": checked, "failures": failures}}
@@ -143,13 +135,15 @@ def criterion_chord_part_injective() -> dict:
     ok = True
     for parity in (ODD, EVEN):
         for k in (2, 3):
-            src, ker = _kernel_vectors(parity, k)
-            cols = [j for j, g in enumerate(src) if g.v_int == 0]
-            rows = [[vec[j] for j in cols] for vec in ker]
-            rank = _rank(rows, len(cols))
-            dim = cohomology(parity, k, 0).dim_H
-            results["%s_%d" % (parity, k)] = {"rank": rank, "dim_H": dim}
-            ok = ok and rank == dim
+            rep = cohomology(parity, k, 0)
+            parts = [{g: c for g, c in v.items() if g.v_int == 0}
+                     for v in rep.cocycle_basis]
+            cols = sorted(set().union(*parts))
+            rank = _rank([[p.get(g, 0) for g in cols] for p in parts],
+                         len(cols))
+            results["%s_%d" % (parity, k)] = {"rank": rank,
+                                              "dim_H": rep.dim_H}
+            ok = ok and rank == rep.dim_H
     return {"name": "chord_part_injective", "passed": ok,
             "detail": results}
 

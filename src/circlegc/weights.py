@@ -15,23 +15,24 @@ reduction, gives a well defined functional on the quotient algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 # ----------------------------------------------------------------------
 # chord diagrams
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
-    """A circle with 2k points joined in pairs by chords.
+class ChordDiagram(NamedTuple):
+    """A circle with 2k points joined in pairs by chords, identified,
+    hashed and ordered as the tuple ``(chords, mark)``.
 
     ``chords`` lists position pairs (a, b) with 1 <= a < b <= 2k; the
     positions 1..2k sit on the circle in cyclic order.  ``mark`` is the
     index of the arc carrying the marked point (arc t runs from point t to
-    its successor), or None.
+    its successor), or None.  Diagrams are only compared with diagrams
+    marked alike, so ``None`` is never ordered against an arc.
     """
     chords: tuple
     mark: int = None
@@ -66,9 +67,7 @@ class ChordDiagram:
         n = self.num_points
         if n == 0:
             return ChordDiagram(())
-        reps = [self.rotated(r) for r in range(n)]
-        return min(reps, key=lambda d: (d.chords, -1 if d.mark is None
-                                        else d.mark))
+        return min(self.rotated(r) for r in range(n))
 
 
 def forget_mark(d: ChordDiagram) -> ChordDiagram:
@@ -89,11 +88,8 @@ def marked_average(d: ChordDiagram):
     n = d.num_points
     if n == 0:
         return [(Fraction(1), d)]
-    classes = {}
-    for t in range(1, n + 1):
-        m = ChordDiagram(d.chords, t).canonical()
-        classes.setdefault((m.chords, m.mark), m)
-    reps = sorted(classes.values(), key=lambda x: (x.chords, x.mark))
+    reps = sorted({ChordDiagram(d.chords, t).canonical()
+                   for t in range(1, n + 1)})
     w = Fraction(1, len(reps))
     return [(w, m) for m in reps]
 
@@ -226,8 +222,7 @@ CIRCLE = "c"
 INNER = "v"
 
 
-@dataclass(frozen=True)
-class BNGraph:
+class BNGraph(NamedTuple):
     """Circle with univalent points 1..n_circle plus trivalent inner
     vertices 1..n_inner.
 
@@ -361,14 +356,14 @@ def stu_resolve(g: BNGraph, chooser=None):
     def walk(coeff, h):
         if h.n_inner == 0:
             d = chord_diagram_of(h).canonical()
-            acc[d.chords] = acc.get(d.chords, 0) + coeff
+            acc[d] = acc.get(d, 0) + coeff
             return
         vertex, slot = pick(h)
         for s, h2 in _resolve_once(h, vertex, slot):
             walk(coeff * s, h2)
 
     walk(Fraction(1), g)
-    return [(c, ChordDiagram(ch)) for ch, c in sorted(acc.items()) if c]
+    return [(c, d) for d, c in sorted(acc.items()) if c]
 
 
 def weight_of_bn(g: BNGraph, chooser=None) -> WeightPolynomial:
@@ -397,12 +392,8 @@ def _matchings(points):
 @lru_cache(maxsize=None)
 def chord_diagram_basis(k: int):
     """Canonical k-chord diagrams up to rotation, sorted."""
-    found = {}
-    for m in _matchings(tuple(range(1, 2 * k + 1))):
-        d = ChordDiagram(tuple(sorted(tuple(sorted(p)) for p in m)))
-        c = d.canonical()
-        found[c.chords] = c
-    return [found[key] for key in sorted(found)]
+    return sorted({ChordDiagram(m).canonical()
+                   for m in _matchings(tuple(range(1, 2 * k + 1)))})
 
 
 def _one_vertex_graphs(k: int):
@@ -431,15 +422,14 @@ def a_space_dim(k: int) -> int:
     if k < 0:
         raise ValueError("negative degree")
     basis = chord_diagram_basis(k)
-    index = {d.chords: i for i, d in enumerate(basis)}
+    index = {d: i for i, d in enumerate(basis)}
     rows = []
     for g in _one_vertex_graphs(k):
         expansions = []
         for slot in (0, 1, 2):
             vec = [Fraction(0)] * len(basis)
             for s, h in _resolve_once(g, 1, slot):
-                d = chord_diagram_of(h).canonical()
-                vec[index[d.chords]] += s
+                vec[index[chord_diagram_of(h).canonical()]] += s
             expansions.append(vec)
         for i in range(3):
             for j in range(i + 1, 3):

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from circlegc.cli import main
+from circlegc.graphs import ODD, EVEN, DecoratedGraph
+from circlegc.serialize import graph_to_dict
 
 
 def run(capsys, *argv):
@@ -202,6 +204,10 @@ VALENCE_TWO = json.dumps({
     "edges": [{"from": {"ext": 1}, "to": {"int": 1}, "oriented": True},
               {"from": {"int": 1}, "to": {"ext": 2}, "oriented": True}]})
 
+# the same defect beside a doubled chord 1 -> 3: malformed and also zero
+VALENCE_TWO_DOUBLED = json.dumps(graph_to_dict(DecoratedGraph(
+    ODD, 3, 1, ((1, 4), (4, 2), (1, 3), (1, 3)))))
+
 
 @pytest.mark.parametrize("argv", [["delta", "--in"],
                                   ["faces", "--n", "5", "--audit"],
@@ -209,21 +215,38 @@ VALENCE_TWO = json.dumps({
                          ids=["delta", "faces", "export-dot"])
 def test_malformed_graph_exits_2_with_message(tmp_path, capsys, argv):
     gfile = tmp_path / "g.json"
-    gfile.write_text(VALENCE_TWO)
-    assert main(argv + [str(gfile)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("circlegc: error: invalid graph: internal "
-                            "vertex 3 has valence 2 < 3\n")
+    for text, vertex in ((VALENCE_TWO, 3), (VALENCE_TWO_DOUBLED, 4)):
+        gfile.write_text(text)
+        assert main(argv + [str(gfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("circlegc: error: invalid graph: internal "
+                                "vertex %d has valence 2 < 3\n" % vertex)
+
+
+# well-formed graphs that are zero by the relations
+ZERO_GRAPHS = {
+    "doubled-chord": DecoratedGraph(ODD, 2, 0, ((1, 2), (1, 2))),
+    "doubled-edge": DecoratedGraph(
+        ODD, 4, 1, ((1, 5), (1, 5), (2, 5), (3, 5), (4, 5))),
+    "odd-internal-loop": DecoratedGraph(
+        ODD, 3, 1, ((1, 4), (2, 4), (3, 4)), ((4, 0, 0),)),
+    "even-internal-loop": DecoratedGraph(
+        EVEN, 3, 1, ((1, 4), (2, 4), (3, 4), (4, 4))),
+}
 
 
 def test_delta_of_a_graph_zero_by_the_relations(tmp_path, capsys):
     gfile = tmp_path / "g.json"
-    chord = {"from": {"ext": 1}, "to": {"ext": 2}, "oriented": True}
-    gfile.write_text(_chord(edges=[chord, chord]))       # a doubled chord
-    code, text = run(capsys, "delta", "--in", str(gfile))
-    assert code == 0
-    assert json.loads(text)["vector"]["terms"] == []
+    for name, g in ZERO_GRAPHS.items():
+        gfile.write_text(json.dumps(graph_to_dict(g)))
+        # the framed complex is odd
+        ops = ("regular", "underline") + (("framed",) if g.parity == ODD
+                                          else ())
+        for op in ops:
+            code, text = run(capsys, "delta", "--in", str(gfile), "--op", op)
+            assert code == 0, (name, op)
+            assert json.loads(text)["vector"]["terms"] == [], (name, op)
 
 
 def test_export_dot_draws_a_graph_zero_by_the_relations(tmp_path, capsys):

@@ -48,15 +48,29 @@ def test_degree_pinned_values():
 
 
 def test_validate_multiple_edge():
+    # a multiple edge is a relation, not a malformation
+    for parity in (ODD, EVEN):
+        g = TRIPOD._replace(parity=parity, edges=TRIPOD.edges + ((1, 4),))
+        assert validate(g) == []
+        assert is_zero_by_relations(g)
+        assert canonical_form(g) is None
+    # zero and malformed: only the malformation is reported, and it wins
     g = DecoratedGraph(ODD, 1, 1, ((1, 2), (2, 1)), (), ())
-    assert any("multiple" in v for v in validate(g))
+    assert validate(g) == ["internal vertex 2 has valence 2 < 3"]
     assert is_zero_by_relations(g)
+    with pytest.raises(ValueError, match="valence 2 < 3"):
+        canonical_form(g)
 
 
 def test_validate_internal_small_loop():
-    g = DecoratedGraph(EVEN, 1, 1, ((1, 2), (1, 2), (2, 2)))
-    assert validate(g)
-    assert is_zero_by_relations(g)
+    # an internal small loop is a relation in both parities: an (a, a)
+    # edge when even, a loops entry when odd
+    for g in (DecoratedGraph(EVEN, 1, 1, ((1, 2), (1, 2), (2, 2))),
+              DecoratedGraph(EVEN, 3, 1, TRIPOD.edges + ((4, 4),)),
+              TRIPOD._replace(loops=((4, WITH_CIRCLE, WITH_ORDER),))):
+        assert validate(g) == []
+        assert is_zero_by_relations(g)
+        assert canonical_form(g) is None
 
 
 def test_validate_tripod_ok():
@@ -65,6 +79,7 @@ def test_validate_tripod_ok():
 
 def test_loop_on_crossed_vertex_is_zero():
     g = DecoratedGraph(ODD, 1, 0, (), ((1, WITH_CIRCLE, WITH_ORDER),), (1,))
+    assert validate(g) == []
     assert is_zero_by_relations(g)
     assert canonical_form(g) is None
 
@@ -297,9 +312,9 @@ def _canonical_even(g: DecoratedGraph):
 def reference_canonical_form(g: DecoratedGraph):
     bad = validate(g)
     if bad:
-        if is_zero_by_relations(g):
-            return None
         raise ValueError("invalid graph: %s" % "; ".join(bad))
+    if is_zero_by_relations(g):
+        return None
     if g.parity == ODD:
         return _canonical_odd(g)
     return _canonical_even(g)
