@@ -1,13 +1,12 @@
 """Command line front-end.
 
-Subcommands: ``enumerate`` (basis listings, optionally cached in the
-directory named by the ``CIRCLEGC_BASIS_CACHE`` environment variable),
-``delta`` (apply a coboundary to a JSON graph), ``cohomology`` (exact
-dimension reports), ``verify`` (named verification suites with a
-deterministic JSON report and a nonzero exit on failure), ``weight`` and
-``astu-dim`` (chord-diagram weight systems), ``faces`` (codimension-one
-face audits), and ``export-dot`` (Graphviz rendering).  All JSON output
-is byte deterministic for fixed inputs.
+Subcommands: ``enumerate`` (basis listings), ``delta`` (apply a
+coboundary to a JSON graph), ``cohomology`` (exact dimension reports),
+``verify`` (named verification suites with a deterministic JSON report
+and a nonzero exit on failure), ``weight`` and ``astu-dim``
+(chord-diagram weight systems), ``faces`` (codimension-one face audits),
+and ``export-dot`` (Graphviz rendering).  All JSON output is byte
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .graphs import ODD, EVEN, canonical_form, is_canonical
+from .graphs import ODD, EVEN, canonical_form
 from .coboundary import delta
 from .enumeration import basis, framed_basis
 from .homology import cohomology
@@ -26,9 +25,7 @@ from .weights import gl_weight, a_space_dim
 from .faces import audit_graph
 from .serialize import (diagram_from_dict, dumps, graph_to_dict,
                         graph_from_dict, graph_to_dot, vector_to_dict)
-from .verification import SUITES, run_suite, basis_ordering
-
-CACHE_ENV = "CIRCLEGC_BASIS_CACHE"
+from .verification import SUITES, run_suite
 
 
 def _emit(text: str, path):
@@ -53,45 +50,6 @@ def _checked_graph(data):
     return g
 
 
-def _cached_basis(parity: str, k: int, m: int, framed: bool):
-    """The basis, served from the cache directory when a file there was
-    written by this version for the same bidegree and holds only canonical
-    graphs; anything else there, unreadable, stale or malformed, is a miss
-    and is overwritten."""
-    cache = os.environ.get(CACHE_ENV)
-    key = {"tool": "circlegc", "version": __version__, "parity": parity,
-           "order": k, "degree": m, "framed": framed}
-    if cache:
-        path = os.path.join(cache, "basis_%s_%d_%d%s.json" % (
-            parity, k, m, "_framed" if framed else ""))
-        try:
-            data = _read_json(path)
-        except (OSError, ValueError):
-            data = None
-        if isinstance(data, dict) and isinstance(data.get("graphs"), list) \
-                and all(data.get(f) == v for f, v in key.items()):
-            try:
-                graphs = [graph_from_dict(d) for d in data["graphs"]]
-                if all(is_canonical(g) for g in graphs):
-                    return graphs
-            except ValueError:
-                pass
-    graphs = framed_basis(k, m) if framed else basis(parity, k, m)
-    if cache:
-        os.makedirs(cache, exist_ok=True)
-        payload = dict(key, graphs=[graph_to_dict(g) for g in graphs])
-        # a reader sees the old file or the whole new one, never a part
-        tmp = "%s.%d.tmp" % (path, os.getpid())
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(dumps(payload))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return graphs
-
-
 def _check_complex(args):
     """The framed and underline complexes are odd and exclude each other."""
     chosen = [f for f in ("framed", "underline") if getattr(args, f, False)]
@@ -103,8 +61,8 @@ def _check_complex(args):
 
 def cmd_enumerate(args):
     _check_complex(args)
-    graphs = _cached_basis(args.parity, args.order, args.degree,
-                           args.framed)
+    graphs = (framed_basis(args.order, args.degree) if args.framed
+              else basis(args.parity, args.order, args.degree))
     payload = {"tool": "circlegc", "version": __version__,
                "parity": args.parity, "order": args.order,
                "degree": args.degree, "framed": args.framed,
@@ -141,9 +99,7 @@ def cmd_cohomology(args):
                "framed": args.framed, "underline": args.underline,
                "dim_kernel": rep.dim_kernel,
                "rank_previous": rep.rank_previous, "dim_H": rep.dim_H,
-               "basis_ordering": basis_ordering(rep.parity, rep.k, rep.m)
-               if not args.framed else
-               [graph_to_dict(g) for g in framed_basis(rep.k, rep.m)],
+               "basis_ordering": [graph_to_dict(g) for g in rep.basis],
                "cocycles": [vector_to_dict(v) for v in rep.cocycle_basis]}
     _emit(dumps(payload), args.report)
     return 0

@@ -496,11 +496,9 @@ class GraphVector:
 
     __slots__ = ("_terms", "parity")
 
-    def __init__(self, terms=(), parity=None):
+    def __init__(self, parity=None):
         self._terms = {}
         self.parity = parity
-        for coeff, graph in terms:
-            self.add_graph(graph, coeff)
 
     @classmethod
     def from_canonical(cls, coeffs, parity) -> "GraphVector":
@@ -556,9 +554,6 @@ class GraphVector:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GraphVector) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms))
 
     def __len__(self):
         return len(self._terms)

@@ -181,6 +181,7 @@ class CohomologyReport:
     dim_kernel: int
     rank_previous: int
     dim_H: int
+    basis: list
     cocycle_basis: list = field(default_factory=list)
 
 
@@ -208,7 +209,7 @@ def cohomology(parity: str, k: int, m: int,
     cocycles = [GraphVector.from_canonical(dict(zip(src, vec)), parity)
                 for vec in ker]
     return CohomologyReport(parity, k, m, len(ker), rank_prev,
-                            len(ker) - rank_prev, cocycles)
+                            len(ker) - rank_prev, src, cocycles)
 
 
 def verify_cocycle(v: GraphVector, op=delta_vector) -> bool:

@@ -100,74 +100,31 @@ def test_unknown_flags_exit_nonzero(capsys):
     assert exc.value.code != 0
 
 
-def test_basis_cache_round_trip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(tmp_path / "cache"))
-    code, first = run(capsys, "enumerate", "--parity", "even", "--order",
-                      "2", "--degree", "0")
-    assert code == 0
-    assert os.listdir(tmp_path / "cache")
-    code, second = run(capsys, "enumerate", "--parity", "even", "--order",
-                       "2", "--degree", "0")
-    assert code == 0
-    assert first == second
-
-
-def _cache_file(tmp_path):
-    (path,) = (tmp_path / "cache").iterdir()
-    return path
-
-
-def test_basis_cache_stale_version_recomputes(tmp_path, capsys,
-                                              monkeypatch):
-    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(tmp_path / "cache"))
-    argv = ("enumerate", "--parity", "odd", "--order", "2", "--degree", "0")
+def test_enumerate_ignores_a_basis_cache_directory(tmp_path, capsys,
+                                                   monkeypatch):
+    """A file keyed for (odd, 2, 1) but holding the three (odd, 2, 0)
+    graphs, in the directory a retired cache variable named, changes
+    nothing: the basis is computed, and nothing is written there."""
+    argv = ("enumerate", "--parity", "odd", "--order", "2", "--degree", "1")
     code, fresh = run(capsys, *argv)
     assert code == 0
-    path = _cache_file(tmp_path)
-    data = json.loads(path.read_text())
-    data["version"] = "0.0.0-stale"
-    data["graphs"] = data["graphs"][:1]
-    path.write_text(json.dumps(data))
+    code, degree0 = run(capsys, "enumerate", "--parity", "odd", "--order",
+                        "2", "--degree", "0")
+    assert code == 0
+    data = json.loads(degree0)
+    assert data["count"] == 3
+    data["degree"] = 1
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    planted = cache / "basis_odd_2_1.json"
+    planted.write_text(json.dumps(data))
+    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(cache))
     code, again = run(capsys, *argv)
     assert code == 0
     assert again == fresh
-    assert json.loads(path.read_text())["version"] != "0.0.0-stale"
-
-
-def test_basis_cache_truncated_file_recomputes(tmp_path, capsys,
-                                               monkeypatch):
-    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(tmp_path / "cache"))
-    argv = ("enumerate", "--parity", "even", "--order", "2", "--degree", "0")
-    code, fresh = run(capsys, *argv)
-    assert code == 0
-    path = _cache_file(tmp_path)
-    text = path.read_text()
-    path.write_text(text[:len(text) // 2])
-    code, again = run(capsys, *argv)
-    assert code == 0
-    assert again == fresh
-    assert path.read_text() == text
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
-
-
-def test_basis_cache_malformed_graphs_recompute(tmp_path, capsys,
-                                                monkeypatch):
-    monkeypatch.setenv("CIRCLEGC_BASIS_CACHE", str(tmp_path / "cache"))
-    argv = ("enumerate", "--parity", "odd", "--order", "2", "--degree", "0")
-    code, fresh = run(capsys, *argv)
-    assert code == 0
-    path = _cache_file(tmp_path)
-    text = path.read_text()
-    spoiled = [lambda g: g.update(v_ext="x"),         # does not parse
-               lambda g: g["edges"].reverse()]         # parses, not canonical
-    for spoil in spoiled:
-        data = json.loads(text)
-        spoil(data["graphs"][-1])
-        path.write_text(json.dumps(data))
-        code, again = run(capsys, *argv)
-        assert code == 0
-        assert again == fresh
-        assert path.read_text() == text
+    assert json.loads(again)["count"] == 2
+    assert list(cache.iterdir()) == [planted]
+    assert json.loads(planted.read_text()) == data
 
 
 def _chord(**changes):
@@ -391,6 +348,72 @@ def test_order4_report_bytes_are_pinned(tmp_path, command, parity):
                      "--degree", str(m), flag, str(report)]) == 0
         digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
     assert digests == ORDER4_DIGESTS[command, parity]
+
+
+# SHA-256 of the framed and underline cohomology reports, orders 1..3 at
+# degrees 0..2k+1, pinned before the report took its basis ordering from
+# the matrix the cohomology was computed on
+COMPLEX_COHOMOLOGY_DIGESTS = {
+    ("--framed", 1): [
+        "9b117939c35339a93b9c8f6aabf45da4c2c21afb7f48f3c8df4b8da97a0fdab2",
+        "9c512d16a1037af1a34a4e65f72d748ba1317916e00b39e42dceaf8bf72fa535",
+        "46c83f99ee165e340f07317d27246fb260308239199772125fa08387c7632403",
+        "a9e0172a2177094a07920e85f809b975b724873d0c6ad5ebeb62fe0816cce574",
+    ],
+    ("--framed", 2): [
+        "0977dc15035d841d5e14ad9b4a76238fe3fb604656802440e2ded02441e807b3",
+        "9f4146769b0ca1f324475b82325edcf5e3f2bba5fc28dcc6e1fc8089a0b00a2b",
+        "963077e1f0a14986c033b1cf448c39d2d81aac1ac1c6230e6f4485d5a2147204",
+        "b2df3126e6e419babbf476241198eaac9ae4f91f28e35f04f1b22d1bfb6e8096",
+        "393d3d88638502095ec0ac5e9a36ec39486ff90e2074c7c71d6bbac6f4bf3f00",
+        "bfacd6dc194a3ca5e55af87187a306161938e1b78accfe733295ed46dc2a3628",
+    ],
+    ("--framed", 3): [
+        "f40071c4137f348833d84c1af839359d18bff23e6ce94e74f5a849448d22394f",
+        "1408bf902353cda05199c7531338615278739aecbe4775077ad50acad6b75433",
+        "4d7dd55c6eb9d043f1dbc1d74d0654fe5f0721a91e10fc4839231dc6b5876ae2",
+        "041df4564140913067bbead26d9387164441e681b812c2e1ea03c976f7220f2f",
+        "a96d4745e05da7242d897fc9b1204d6cde725c6e977f13162a632c301316f6c1",
+        "5663f42b6369e7b8c383e839789832356f65822377945bde2c47b44279a63228",
+        "ebc5d3928db73cee121693c09ceacd89bd1d5a5a984cb17e5b9faab46b5af390",
+        "3dcbc5f88256f4a788c918ac6388c23a858419b97ac2ad4a6b1cff172a94c02e",
+    ],
+    ("--underline", 1): [
+        "3b04a37681b313a191c52dd27dfb621c3864fd16765c2bd8cbae15a0462600c8",
+        "d13444f4d69b2e80c7193913acdb4876cc7576a07137288a71cc8cd9da3844c6",
+        "a50c70f936579501554dea44949cdaddfc5735def7daa497f9a7d955fb19f0dc",
+        "2df429262da97c2d8e9fe727183c65d5d22e5790eac7e2216be76943ac8074ce",
+    ],
+    ("--underline", 2): [
+        "e521cc9768351ff9bf08d870e41a273bc40425bc259533da2bd3b3642578136d",
+        "ccbdc29611cae8acdd1f616e66fa963873e2de71a33798fd57d88750aad835d9",
+        "92b6f82573510990a35e4dc6404002b86ff3564fa9b37732f01f49a31cf87ec6",
+        "50ed9e4ecd681824f4087ac56a49e66e84f9406508f8cf6dd5c339fbbedcd6a4",
+        "a706eab4f28d50d4fee2a08ae34cbd56c17835630528b940b9ca9a3e03b335c0",
+        "c7518ac5f71a86b72f973cfc7cf46533e4e91d921296c1b422891cd603279b35",
+    ],
+    ("--underline", 3): [
+        "fd32adfae0d14b6bb723e613d6aa6ffdda7c5f590f34b201c591a0783585b5cd",
+        "4309f887f0ec6686964f531fdaf0f1fd74d50a44745839eeabe526a832effb10",
+        "79aea14087986c2775f6d36fafc6fea968ebc6dcd5452ccbf5bcf781a4aca031",
+        "d8921fcc811441e79e84411fb22bc935db8b22596c1181789a6f5b1835430230",
+        "3059d286dd186640fe9ec68f97b64d35e593df0b7a6236277d0521de93b1ad1e",
+        "d409e438cf98eca213d44977ce334afe5235e84dde2095a73be8c9d1abfc0531",
+        "2abeb312b62d7cae86f6ba1d8bc4396713ff34e8bcf2297f7d91005d454c1260",
+        "7c7ed9911b7b079c7fc4111fda7175fc2173c7939bd879f1ebd3d2836fd95cdd",
+    ],
+}
+
+
+@pytest.mark.parametrize("flag, k", sorted(COMPLEX_COHOMOLOGY_DIGESTS))
+def test_complex_cohomology_report_bytes_are_pinned(tmp_path, flag, k):
+    digests = []
+    for m in range(2 * k + 2):
+        report = tmp_path / ("%d.json" % m)
+        assert main(["cohomology", flag, "--order", str(k), "--degree",
+                     str(m), "--report", str(report)]) == 0
+        digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
+    assert digests == COMPLEX_COHOMOLOGY_DIGESTS[flag, k]
 
 
 # SHA-256 of the order-5 enumerate reports at degrees 3..7, the ones the
