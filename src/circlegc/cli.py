@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .graphs import ODD, EVEN, canonical_form
@@ -94,13 +95,17 @@ def cmd_cohomology(args):
         rep = cohomology(ODD, args.order, args.degree, op=delta_underline)
     else:
         rep = cohomology(args.parity, args.order, args.degree)
+    # every cocycle term is a basis graph: one dict per graph, shared by
+    # the basis ordering and the cocycles
+    to_dict = lru_cache(maxsize=None)(graph_to_dict)
     payload = {"tool": "circlegc", "version": __version__,
                "parity": rep.parity, "order": rep.k, "degree": rep.m,
                "framed": args.framed, "underline": args.underline,
                "dim_kernel": rep.dim_kernel,
                "rank_previous": rep.rank_previous, "dim_H": rep.dim_H,
-               "basis_ordering": [graph_to_dict(g) for g in rep.basis],
-               "cocycles": [vector_to_dict(v) for v in rep.cocycle_basis]}
+               "basis_ordering": [to_dict(g) for g in rep.basis],
+               "cocycles": [vector_to_dict(v, to_dict)
+                            for v in rep.cocycle_basis]}
     _emit(dumps(payload), args.report)
     return 0
 

@@ -33,7 +33,7 @@ Test (b) starts from the leading row.  Row 1 is the top n bits of the
 external rows (n = v_ext + v_int).  Under the rotation taking external x
 to label 1 it holds the loop bit of x, its rotated external neighbours,
 and then a run of ones, one per internal neighbour of x, since those sort
-first (``_lead_row``).  A rotation whose leading row is greater than
+first (``graphs._lead_row``).  A rotation whose leading row is greater than
 external 1's gives more bits, whatever follows, and fails (b); one whose
 leading row is smaller cannot win.  Row x is complete once the search has
 passed it, so a branch stops at the first pair past a row x whose leading
@@ -64,22 +64,8 @@ import itertools
 from functools import lru_cache
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
-                     _connected, _external_rows, _pair_bits, canonical_form)
-
-
-def _lead_row(v_ext: int, n: int, x: int, nbrs) -> int:
-    """Row 1 of the adjacency bitstring, as an n-bit number, once the
-    rotation has taken external x to label 1, ``nbrs`` being the neighbours
-    of x: its loop bit, its rotated external neighbours, then one leading
-    one per internal neighbour, since those sort first."""
-    row = 0
-    d = 0
-    for y in nbrs:
-        if y <= v_ext:
-            row |= 1 << (n - 1 - (y - x) % v_ext)
-        else:
-            d += 1
-    return row | ((1 << d) - 1) << (n - v_ext - d)
+                     _connected, _external_rows, _lead_row, _pair_bits,
+                     canonical_form)
 
 
 def _rotations_lose(v_ext: int, mask: list, nbrs: list, pairs) -> bool:

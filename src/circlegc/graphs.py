@@ -45,7 +45,9 @@ externals 1..v_ext: at the first external where two differ, the adjacent
 one comes first.  That gives an ordered partition of the internal vertices;
 the internal rows then pick the order inside it by individualization and
 refinement in the manner of McKay & Piperno ("Practical graph isomorphism
-II", 2014), branching only on ties and keeping every tie.  The surviving
+II", 2014), branching only on ties and keeping every tie.  Row 1 leads
+the external rows, so a rotation whose row 1 is not the greatest has
+fewer external-row bits and is dropped before any of this.  The surviving
 orderings of all rotations are exactly the relabellings whose row is least,
 so the representative and the sign check equal those of a scan over the
 whole orbit, which ``tests/test_graphs.py`` keeps as the reference.
@@ -342,6 +344,21 @@ def _rotations(v_ext: int):
             for r in range(v_ext)]
 
 
+def _lead_row(v_ext: int, n: int, x: int, nbrs) -> int:
+    """Row 1 of the adjacency bitstring, as an n-bit number, once the
+    rotation has taken external x to label 1, ``nbrs`` being the neighbours
+    of x: its loop bit, its rotated external neighbours, then one leading
+    one per internal neighbour, since those sort first."""
+    row = 0
+    d = 0
+    for y in nbrs:
+        if y <= v_ext:
+            row |= 1 << (n - 1 - (y - x) % v_ext)
+        else:
+            d += 1
+    return row | ((1 << d) - 1) << (n - v_ext - d)
+
+
 def _external_rows(r: int, v_ext: int, ext_mask: dict, ext_edges, bits,
                    label: list):
     """The external rows of the rotation by r steps: the bits they give
@@ -378,6 +395,7 @@ def _canonical(g: DecoratedGraph):
     internals = range(v_ext + 1, n + 1)
     ext_mask = dict.fromkeys(internals, 0)
     adj = {u: set() for u in internals}
+    nbrs = [[] for _ in range(v_ext + 1)]     # neighbours of the externals
     ext_edges = []
     int_edges = []
     for a, b in g.edges:
@@ -389,8 +407,18 @@ def _canonical(g: DecoratedGraph):
             ext_edges.append((a, b))
             if a > v_ext:
                 ext_mask[a] |= 1 << (v_ext - b)
+                nbrs[b].append(a)
             elif b > v_ext:
                 ext_mask[b] |= 1 << (v_ext - a)
+                nbrs[a].append(b)
+            else:
+                nbrs[a].append(b)
+                if a != b:
+                    nbrs[b].append(a)
+    # row 1 leads the external rows: a rotation whose leading row is not
+    # the greatest has fewer external-row bits and cannot give the least row
+    leads = [_lead_row(v_ext, n, x, nbrs[x]) for x in range(1, v_ext + 1)]
+    top = max(leads)
     rotations = _rotations(v_ext)
     loop_vertices = [entry[0] for entry in g.loops]
     label = [0] * (n + 1)
@@ -398,6 +426,9 @@ def _canonical(g: DecoratedGraph):
     best_tail = None
     best = []
     for r in range(v_ext):
+        # the rotation by r takes external -r + 1 (mod v_ext) to label 1
+        if leads[-r % v_ext] < top:
+            continue
         # the external rows lead the bitstring, so most rotations lose here
         ext_bits, cells = _external_rows(r, v_ext, ext_mask, ext_edges, bits,
                                          label)

@@ -3,15 +3,25 @@
 Matrices of the coboundary between enumerated bases, kernels and ranks,
 and cohomology dimensions dim H = dim ker - rank of the incoming map.
 
-Ranks and kernels come from one sparse exact elimination over Q.  It
-walks the columns in index order and reduces each against the pivot
-vectors found so far, kept as sparse primitive integer vectors; a column
-that does not reduce to zero becomes a pivot column.  So the pivot
-columns are those of the reduced row echelon form, and the kernel vector
-of a dependent column is the unique relation between it and the pivot
-columns before it, which is exactly the RREF kernel vector of that free
-column.  With the first nonzero coefficient normalized to +1, the kernel
-basis and its order do not depend on which row each pivot sits in.
+Ranks and kernels come from one sparse exact elimination over Q, run on
+one of two paths.  Either way each column is scaled to a primitive
+integer vector and reduced against the pivot vectors found so far, kept
+as sparse primitive integer vectors; a column that does not reduce to
+zero becomes a pivot column, pivoting on the row that meets the fewest
+columns.
+
+* The kernel path (``_kernel``) walks the columns in index order, and
+  each column carries the combination of columns it has become.  So the
+  pivot columns are those of the reduced row echelon form, and the
+  kernel vector of a dependent column is the unique relation between it
+  and the pivot columns before it, which is exactly the RREF kernel
+  vector of that free column.  With the first nonzero coefficient
+  normalized to +1, the kernel basis and its order do not depend on
+  which row each pivot sits in.  The reports print these vectors.
+* The rank path (``_rank``) walks the columns sparsest first, which
+  keeps the fill-in low, and carries no combination: the rank does not
+  depend on the column order, and nothing else is read from it.
+
 Everything is deterministic: bases are sorted by canonical encoding.
 """
 
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .graphs import GraphVector, degree, order
@@ -93,20 +104,22 @@ def _combine(a, x, b, y):
     return out
 
 
-def _eliminate(rows, ncols):
+def _eliminate(rows, ncols, with_kernel):
     """Sparse exact column elimination.
 
     ``rows`` holds sequences of length ``ncols`` or {col: value} maps.
-    Each column is scaled to a primitive integer vector and reduced,
-    left to right, against the pivot vectors found so far.  A column
-    that keeps a nonzero entry becomes a pivot, on the entry whose row
-    meets the fewest columns; one that reduces to zero is dependent and
-    yields the unique vanishing combination of itself and the earlier
-    pivot columns.
+    Each column is scaled to a primitive integer vector and reduced
+    against the pivot vectors found so far.  A column that keeps a
+    nonzero entry becomes a pivot, on the entry whose row meets the
+    fewest columns.
 
-    Returns the rank and the kernel vectors (dense lists of Fractions
-    over the columns, first nonzero entry +1), one per dependent column
-    in column order.
+    With ``with_kernel`` the columns go left to right, each carrying the
+    combination of columns it is, and the kernel vectors are returned
+    (dense lists of Fractions over the columns, first nonzero entry +1),
+    one per dependent column in column order: the unique vanishing
+    combination of that column and the earlier pivot columns.  Without,
+    the columns go sparsest first, carry nothing, and the rank is
+    returned.
     """
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -118,18 +131,22 @@ def _eliminate(rows, ncols):
     for col in cols:
         for i in col:
             meets[i] = meets.get(i, 0) + 1
-    scale = []
+    scale = {}
     pivots = []          # (pivot row, vector, combination of columns)
     pivot_of = {}        # pivot row -> index into pivots
     kernel = []
-    for j, col in enumerate(cols):
+    comb = None
+    for j in (range(ncols) if with_kernel
+              else sorted(range(ncols), key=lambda c: len(cols[c]))):
+        col = cols[j]
         den = lcm(*(v.denominator for v in col.values()))
         vec = {i: v.numerator * (den // v.denominator)
                for i, v in col.items()}
         g = gcd(*vec.values()) or 1
         vec = {i: v // g for i, v in vec.items()}
-        scale.append(Fraction(den, g))
-        comb = {j: 1}
+        if with_kernel:
+            scale[j] = Fraction(den, g)
+            comb = {j: 1}
         # pivot k's vector has no entry on the rows of pivots before k,
         # so clearing pivot rows in increasing k never refills them
         todo = {pivot_of[i] for i in vec if i in pivot_of}
@@ -146,31 +163,33 @@ def _eliminate(rows, ncols):
             todo.update(pivot_of[i] for i in pvec
                         if i in pivot_of and i not in vec)
             vec = _combine(a, vec, b, pvec)
-            comb = _combine(a, comb, b, pcomb)
-            g = gcd(*vec.values(), *comb.values())
+            if with_kernel:
+                comb = _combine(a, comb, b, pcomb)
+            g = gcd(*vec.values(), *(comb.values() if with_kernel else ()))
             if g > 1:
                 vec = {i: v // g for i, v in vec.items()}
-                comb = {i: v // g for i, v in comb.items()}
+                if with_kernel:
+                    comb = {i: v // g for i, v in comb.items()}
         if vec:
             r = min(vec, key=lambda i: (meets[i], i))
             pivot_of[r] = len(pivots)
             pivots.append((r, vec, comb))
-        else:
+        elif with_kernel:
             first = min(comb)
             lead = comb[first] * scale[first]
             out = [Fraction(0)] * ncols
             for c, u in comb.items():
                 out[c] = u * scale[c] / lead
             kernel.append(out)
-    return len(pivots), kernel
+    return kernel if with_kernel else len(pivots)
 
 
 def _rank(rows, ncols) -> int:
-    return _eliminate(rows, ncols)[0]
+    return _eliminate(rows, ncols, False)
 
 
 def _kernel(rows, ncols):
-    return _eliminate(rows, ncols)[1]
+    return _eliminate(rows, ncols, True)
 
 
 @dataclass
@@ -199,7 +218,11 @@ def delta_matrix(parity: str, k: int, m: int,
 
 def cohomology(parity: str, k: int, m: int,
                op=delta, basis_fn=basis) -> CohomologyReport:
-    """Exact cohomology at bidegree (k, m) for the chosen coboundary."""
+    """Exact cohomology at bidegree (k, m) for the chosen coboundary.
+
+    ``basis_fn`` is memoized for the call, so each of the bases of
+    degrees m - 1, m and m + 1 is built once."""
+    basis_fn = lru_cache(maxsize=None)(basis_fn)
     out_mat = delta_matrix(parity, k, m, op=op, basis_fn=basis_fn)
     ker = out_mat.kernel()
     # every basis at degree -1 is empty

@@ -161,8 +161,11 @@ def diagram_from_dict(data) -> ChordDiagram:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text for any serializable payload."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text for any serializable payload.  Payloads
+    are trees or DAGs built by this package (a report may share one dict
+    among several places), never cyclic, so the cycle check is skipped."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
 
 
 def graph_to_json(g: DecoratedGraph) -> str:
@@ -173,8 +176,9 @@ def graph_from_json(text: str) -> DecoratedGraph:
     return graph_from_dict(json.loads(text))
 
 
-def vector_to_dict(v: GraphVector) -> dict:
-    terms = [{"coefficient": str(Fraction(c)), "graph": graph_to_dict(g)}
+def vector_to_dict(v: GraphVector, to_dict=graph_to_dict) -> dict:
+    """The vector's JSON object, each graph written by ``to_dict``."""
+    terms = [{"coefficient": str(Fraction(c)), "graph": to_dict(g)}
              for c, g in v.terms]
     return {"parity": v.parity, "terms": terms}
 

@@ -14,6 +14,7 @@ from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
                              DecoratedGraph, GraphVector, canonical_form,
                              degree, is_canonical, is_zero_by_relations,
                              order, perm_sign, validate, combine)
+from circlegc.coboundary import contract_raw, contraction_sites
 from circlegc.enumeration import _decorate, basis, framed_basis
 
 from conftest import (decorated_variant, reference_framed_shapes,
@@ -336,6 +337,22 @@ def test_canonical_form_equals_orbit_scan_on_framed_shapes():
         for m in range(2 * k):
             for g in reference_framed_shapes(k, m):
                 assert canonical_form(g) == reference_canonical_form(g), g
+
+
+def test_canonical_form_equals_orbit_scan_on_contraction_terms():
+    """Every raw contraction term of the order <= 3 bases: arc contractions
+    over short chords put an even loop on the diagonal of the bitstring,
+    or an odd loop outside it, and leave graphs that are not canonical."""
+    sources = [g for parity in (ODD, EVEN) for k in (1, 2, 3)
+               for m in range(2 * k) for g in basis(parity, k, m)]
+    sources += [g for k in (1, 2, 3) for m in range(2 * k)
+                for g in framed_basis(k, m)]
+    terms = {contract_raw(g, site)[1] for g in sources
+             for site in contraction_sites(g)}
+    assert any(g.loops for g in terms)
+    assert any(a == b for g in terms for a, b in g.edges)
+    for g in sorted(terms):
+        assert canonical_form(g) == reference_canonical_form(g), g
 
 
 @lru_cache(maxsize=None)

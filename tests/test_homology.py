@@ -215,21 +215,57 @@ def test_order5_degree0_pinned_to_chord_diagram_dimensions():
     assert a_space_dim(5) == 10
 
 
-# dim C^{5,m} for m = 0..7; the complex is zero above.
+# dim C^{5,m}, rank of the coboundary out of degree m, and dim H^{5,m} for
+# m = 0..7; the complex is zero above.
 ORDER5_DIM_C = {ODD: [589, 2343, 4014, 3704, 1910, 524, 63, 2],
                 EVEN: [551, 2347, 4093, 3707, 1861, 517, 70, 2]}
+ORDER5_RANK = {ODD: [585, 1758, 2256, 1447, 463, 61, 2, 0],
+               EVEN: [548, 1798, 2294, 1412, 449, 68, 2, 0]}
+ORDER5_DIM_H = {ODD: [4, 0, 0, 1, 0, 0, 0, 0],
+                EVEN: [3, 1, 1, 1, 0, 0, 0, 0]}
 
 
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_order5_delta_squares_to_zero(parity):
     """d^2 = 0 on every bidegree of order 5: one matrix per degree, each
-    composed with the next."""
-    assert [len(basis(parity, 5, m)) for m in range(8)] \
-        == ORDER5_DIM_C[parity]
+    composed with the next.  The same matrices give the whole order-5
+    table, whose Euler characteristic is that of the chain groups."""
+    dim_c = [len(basis(parity, 5, m)) for m in range(8)]
+    assert dim_c == ORDER5_DIM_C[parity]
     assert not basis(parity, 5, 8)
     mats = [delta_matrix(parity, 5, m) for m in range(8)]
     for m in range(7):
         assert mats[m + 1].compose(mats[m]).is_zero(), m
+    ranks = [mat.rank() for mat in mats]
+    assert ranks == ORDER5_RANK[parity]
+    dim_h = [c - r - prev for c, r, prev in zip(dim_c, ranks, [0] + ranks)]
+    assert dim_h == ORDER5_DIM_H[parity]
+    euler = sum((-1) ** m * d for m, d in enumerate(dim_c))
+    assert euler == sum((-1) ** m * d for m, d in enumerate(dim_h))
+    assert euler == {ODD: 3, EVEN: 2}[parity]
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_rank_only_path_agrees_with_kernel_on_order4(parity):
+    """The sparsest-first rank and the column-order kernel eliminate every
+    order-4 matrix independently; they must agree on its rank."""
+    for m in range(6):
+        mat = delta_matrix(parity, 4, m)
+        rows, n = mat._rows(), mat.shape[1]
+        assert _rank(rows, n) == n - len(_kernel(rows, n)), m
+
+
+@pytest.mark.parametrize("parity", [ODD, EVEN])
+def test_cohomology_builds_each_basis_once(parity):
+    calls = []
+
+    def counting_basis(p, k, m):
+        calls.append((p, k, m))
+        return basis(p, k, m)
+
+    rep = cohomology(parity, 4, 2, basis_fn=counting_basis)
+    assert rep.dim_H == ORDER4_DIM_H[parity][2]
+    assert sorted(calls) == [(parity, 4, m) for m in (1, 2, 3)]
 
 
 def test_delta_matrix_squares_to_zero():
