@@ -248,11 +248,6 @@ def basis(parity: str, k: int, m: int):
     return _classes(parity, k, m, 0) if m >= 0 else []
 
 
-def trivalent_basis(parity: str, k: int):
-    """Degree-0 basis: univalent external, trivalent internal vertices."""
-    return basis(parity, k, 0)
-
-
 def framed_basis(k: int, m: int):
     """Canonical basis of the framed (crossed) odd space at framed order k
     and framed degree m.  A crossed external vertex may be bare; at most

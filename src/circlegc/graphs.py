@@ -512,11 +512,6 @@ def canonical_form(g: DecoratedGraph):
     return res
 
 
-def is_canonical(g: DecoratedGraph) -> bool:
-    res = canonical_form(g)
-    return res is not None and res[0] == g and res[1] == 1
-
-
 # ----------------------------------------------------------------------
 # linear combinations
 

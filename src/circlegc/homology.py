@@ -32,8 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .graphs import GraphVector, degree, order
-from .coboundary import delta, delta_vector
+from .graphs import GraphVector
+from .coboundary import delta
 from .enumeration import basis
 
 
@@ -53,9 +53,6 @@ class SparseRationalMatrix:
     @property
     def shape(self):
         return (len(self.row_basis), len(self.col_basis))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.columns[j].get(i, Fraction(0))
 
     def compose(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """self @ other; other's row basis must be self's column basis."""
@@ -107,7 +104,7 @@ def _combine(a, x, b, y):
 def _eliminate(rows, ncols, with_kernel):
     """Sparse exact column elimination.
 
-    ``rows`` holds sequences of length ``ncols`` or {col: value} maps.
+    ``rows`` holds one {col: value} map per row, zero values allowed.
     Each column is scaled to a primitive integer vector and reduced
     against the pivot vectors found so far.  A column that keeps a
     nonzero entry becomes a pivot, on the entry whose row meets the
@@ -123,8 +120,7 @@ def _eliminate(rows, ncols, with_kernel):
     """
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for j, v in (row.items() if isinstance(row, dict)
-                     else enumerate(row)):
+        for j, v in row.items():
             if v:
                 cols[j][i] = v
     meets = {}
@@ -234,16 +230,3 @@ def cohomology(parity: str, k: int, m: int,
     return CohomologyReport(parity, k, m, len(ker), rank_prev,
                             len(ker) - rank_prev, src, cocycles)
 
-
-def verify_cocycle(v: GraphVector, op=delta_vector) -> bool:
-    """True iff the vector is homogeneous and exactly closed."""
-    grading = {(order(g), degree(g)) for _, g in v.terms}
-    if len(grading) > 1:
-        raise ValueError("inhomogeneous graph vector")
-    return op(v).is_zero()
-
-
-def chord_part(v: GraphVector) -> GraphVector:
-    """Restriction to the terms with no internal vertices."""
-    return GraphVector.from_canonical(
-        {g: c for c, g in v.terms if g.v_int == 0}, v.parity)

@@ -1,12 +1,12 @@
 """JSON and DOT serialization for decorated graphs and graph vectors.
 
-The JSON encoding round trips bit exactly: ``from_json(to_json(g))``
-reproduces the same ``DecoratedGraph`` value, and ``to_json`` emits a
-fully deterministic byte string (sorted keys, fixed separators).  Edge
-endpoints are written as ``{"ext": i}`` for circle vertices and
-``{"int": j}`` for internal ones, with j counted from 1; odd edges are
-flagged ``"oriented": true`` and read from tail to head, even edges
-carry their positional ``"label"`` instead.
+The JSON encoding round trips bit exactly: ``graph_from_dict`` of the
+parsed text ``dumps(graph_to_dict(g))`` is the same ``DecoratedGraph``
+value, and ``dumps`` writes fully deterministic bytes (sorted keys,
+fixed separators).  Edge endpoints are written as ``{"ext": i}`` for
+circle vertices and ``{"int": j}`` for internal ones, with j counted
+from 1; odd edges are flagged ``"oriented": true`` and read from tail to
+head, even edges carry their positional ``"label"`` instead.
 
 The DOT export draws the circle as a cycle of bold arcs through the
 external vertices, graph edges dashed, and internal vertices filled.
@@ -168,35 +168,11 @@ def dumps(obj) -> str:
                       check_circular=False) + "\n"
 
 
-def graph_to_json(g: DecoratedGraph) -> str:
-    return dumps(graph_to_dict(g))
-
-
-def graph_from_json(text: str) -> DecoratedGraph:
-    return graph_from_dict(json.loads(text))
-
-
 def vector_to_dict(v: GraphVector, to_dict=graph_to_dict) -> dict:
     """The vector's JSON object, each graph written by ``to_dict``."""
     terms = [{"coefficient": str(Fraction(c)), "graph": to_dict(g)}
              for c, g in v.terms]
     return {"parity": v.parity, "terms": terms}
-
-
-def vector_from_dict(data: dict) -> GraphVector:
-    out = GraphVector(parity=data["parity"])
-    for term in data.get("terms", []):
-        out.add_graph(graph_from_dict(term["graph"]),
-                      Fraction(term["coefficient"]))
-    return out
-
-
-def vector_to_json(v: GraphVector) -> str:
-    return dumps(vector_to_dict(v))
-
-
-def vector_from_json(text: str) -> GraphVector:
-    return vector_from_dict(json.loads(text))
 
 
 def graph_to_dot(g: DecoratedGraph, name: str = "g") -> str:

@@ -3,19 +3,19 @@
 A BN graph is an oriented circle with univalent endpoints plus trivalent
 inner vertices, each inner vertex carrying a cyclic orientation of its
 three half-edges; reversing the orientation at one vertex multiplies the
-graph by -1.  The STU rewrite resolves an inner vertex with a leg on the
-circle into the difference of the two ways of sliding its remaining
-half-edges onto the circle, and repeating it turns every BN graph into a
-combination of chord diagrams.  The gl(N) weight of a chord diagram is
-N^c where c counts the closed curves obtained by traversing the circle
-and jumping along chords; it extends linearly and, composed with the STU
-reduction, gives a well defined functional on the quotient algebra.
+graph by -1.  One STU step (``_resolve_once``) resolves an inner vertex
+with a leg on the circle into the difference of the two ways of sliding
+its remaining half-edges onto the circle.  Resolving a one-vertex graph
+through two different legs gives an STU relation between chord
+diagrams: ``a_space_dim`` takes the rank of these relations, and the
+gl(N) criterion checks that the weight kills them.  The gl(N) weight of
+a chord diagram is N^c where c counts the closed curves obtained by
+traversing the circle and jumping along chords.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -68,30 +68,6 @@ class ChordDiagram(NamedTuple):
         if n == 0:
             return ChordDiagram(())
         return min(self.rotated(r) for r in range(n))
-
-
-def forget_mark(d: ChordDiagram) -> ChordDiagram:
-    """Drop the marked point."""
-    return ChordDiagram(d.chords)
-
-
-def marked_average(d: ChordDiagram):
-    """Uniform average over the inequivalent markings of a diagram.
-
-    Puts one marked point on each arc, identifies markings related by a
-    rotational symmetry of the diagram, and averages the classes; the
-    composition with ``forget_mark`` gives back the diagram.
-    Returns a list of (coefficient, marked ChordDiagram) pairs.
-    """
-    if d.mark is not None:
-        raise ValueError("diagram is already marked")
-    n = d.num_points
-    if n == 0:
-        return [(Fraction(1), d)]
-    reps = sorted({ChordDiagram(d.chords, t).canonical()
-                   for t in range(1, n + 1)})
-    w = Fraction(1, len(reps))
-    return [(w, m) for m in reps]
 
 
 # ----------------------------------------------------------------------
@@ -235,31 +211,6 @@ class BNGraph(NamedTuple):
     n_inner: int
     edges: tuple
 
-    def validate(self):
-        used_c = []
-        used_v = []
-        for x, y in self.edges:
-            for end in (x, y):
-                if end[0] == CIRCLE:
-                    if not 1 <= end[1] <= self.n_circle:
-                        raise ValueError("circle point out of range")
-                    used_c.append(end[1])
-                elif end[0] == INNER:
-                    v, s = end[1], end[2]
-                    if not (1 <= v <= self.n_inner and s in (0, 1, 2)):
-                        raise ValueError("bad inner end %r" % (end,))
-                    used_v.append((v, s))
-                else:
-                    raise ValueError("unknown end %r" % (end,))
-        if sorted(used_c) != list(range(1, self.n_circle + 1)):
-            raise ValueError("each circle point must be used exactly once")
-        want = [(v, s) for v in range(1, self.n_inner + 1) for s in (0, 1, 2)]
-        if sorted(used_v) != want:
-            raise ValueError("each inner vertex needs its three slots used")
-
-    def degree(self) -> int:
-        return len(self.edges) - self.n_inner
-
 
 def chord_diagram_of(g: BNGraph) -> ChordDiagram:
     if g.n_inner:
@@ -267,11 +218,6 @@ def chord_diagram_of(g: BNGraph) -> ChordDiagram:
     chords = tuple(sorted(tuple(sorted((x[1], y[1])))
                           for x, y in g.edges))
     return ChordDiagram(chords)
-
-
-def bn_of_chords(d: ChordDiagram) -> BNGraph:
-    edges = tuple(((CIRCLE, a), (CIRCLE, b)) for a, b in d.chords)
-    return BNGraph(d.num_points, 0, edges)
 
 
 def _resolve_once(g: BNGraph, vertex: int, slot: int):
@@ -332,48 +278,6 @@ def _resolve_once(g: BNGraph, vertex: int, slot: int):
             (-1, rebuild(first, second, p, q))]
 
 
-def stu_resolve(g: BNGraph, chooser=None):
-    """Rewrite a BN graph into chord diagrams by repeated STU steps.
-
-    Returns a list of (coefficient, ChordDiagram) pairs with canonical
-    diagrams, merged and sorted.  ``chooser`` maps a graph to a (vertex,
-    slot) pair with a circle leg and exists so tests can confirm the
-    gl(N) weight does not depend on the resolution order; the default
-    picks the first such pair.
-    """
-    g.validate()
-
-    def default_chooser(h):
-        for x, y in sorted(h.edges):
-            for a, b in ((x, y), (y, x)):
-                if a[0] == INNER and b[0] == CIRCLE:
-                    return a[1], a[2]
-        raise ValueError("no inner vertex touches the circle")
-
-    pick = chooser or default_chooser
-    acc = {}
-
-    def walk(coeff, h):
-        if h.n_inner == 0:
-            d = chord_diagram_of(h).canonical()
-            acc[d] = acc.get(d, 0) + coeff
-            return
-        vertex, slot = pick(h)
-        for s, h2 in _resolve_once(h, vertex, slot):
-            walk(coeff * s, h2)
-
-    walk(Fraction(1), g)
-    return [(c, d) for d, c in sorted(acc.items()) if c]
-
-
-def weight_of_bn(g: BNGraph, chooser=None) -> WeightPolynomial:
-    """gl(N) weight of a BN graph: resolve by STU, then weigh."""
-    out = WeightPolynomial()
-    for coeff, d in stu_resolve(g, chooser=chooser):
-        out = out + gl_weight(d).scaled(coeff)
-    return out
-
-
 # ----------------------------------------------------------------------
 # the algebra of chord diagrams modulo STU
 
@@ -427,15 +331,14 @@ def a_space_dim(k: int) -> int:
     for g in _one_vertex_graphs(k):
         expansions = []
         for slot in (0, 1, 2):
-            vec = [Fraction(0)] * len(basis)
+            vec = {}
             for s, h in _resolve_once(g, 1, slot):
-                vec[index[chord_diagram_of(h).canonical()]] += s
+                i = index[chord_diagram_of(h).canonical()]
+                vec[i] = vec.get(i, 0) + s
             expansions.append(vec)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                row = [a - b for a, b in zip(expansions[i], expansions[j])]
-                if any(row):
-                    rows.append(row)
+        # zero entries, and so empty rows, are dropped by the elimination
+        for x, y in itertools.combinations(expansions, 2):
+            rows.append({i: x.get(i, 0) - y.get(i, 0)
+                         for i in x.keys() | y.keys()})
     from .homology import _rank
-    rank = _rank(rows, len(basis)) if rows else 0
-    return len(basis) - rank
+    return len(basis) - _rank(rows, len(basis))

@@ -6,9 +6,9 @@ import pytest
 
 from circlegc import enumeration
 from circlegc.graphs import (ODD, EVEN, DecoratedGraph, _external_rows,
-                             _pair_bits, canonical_form, degree,
-                             is_canonical, order, validate)
-from circlegc.enumeration import basis, framed_basis, trivalent_basis
+                             _pair_bits, canonical_form, degree, order,
+                             validate)
+from circlegc.enumeration import basis, framed_basis
 
 from conftest import (reference_framed_shapes, reference_labelled_shapes,
                       reference_shapes)
@@ -40,7 +40,7 @@ def test_basis_graphs_are_valid_canonical_distinct(parity):
             assert len(set(b)) == len(b)
             for g in b:
                 assert validate(g) == []
-                assert is_canonical(g)
+                assert canonical_form(g) == (g, 1)
                 assert order(g) == k
                 assert degree(g) == m
 
@@ -48,7 +48,7 @@ def test_basis_graphs_are_valid_canonical_distinct(parity):
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_trivalent_basis_valences(parity):
     for k in (2, 3):
-        for g in trivalent_basis(parity, k):
+        for g in basis(parity, k, 0):
             val = g.valences()
             for v in range(1, g.v_ext + 1):
                 assert val[v] == 1
@@ -60,13 +60,13 @@ def test_trivalent_basis_valences(parity):
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_chord_diagrams_have_2k_externals(parity):
     for k in (1, 2, 3):
-        for g in trivalent_basis(parity, k):
+        for g in basis(parity, k, 0):
             if g.v_int == 0:
                 assert g.v_ext == 2 * k
 
 
 def test_even_order3_contains_cocycle_shapes():
-    shapes = {(g.v_ext, g.v_int) for g in trivalent_basis(EVEN, 3)}
+    shapes = {(g.v_ext, g.v_int) for g in basis(EVEN, 3, 0)}
     assert {(4, 2), (6, 0), (5, 1), (3, 3), (2, 4)} <= shapes
 
 

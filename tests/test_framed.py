@@ -2,7 +2,6 @@
 map between them."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -159,10 +158,7 @@ def test_cocycles_embed_into_crossed_cohomology():
                     v.add_graph(g, c)
             img = linear(short_chord_substitution, v)
             assert linear(delta_framed, img).is_zero()
-            row = [Fraction(0)] * len(fb)
-            for c, g in img.terms:
-                row[index[g]] = c
-            rows.append(row)
+            rows.append({index[g]: c for c, g in img.terms})
         assert _rank(rows, len(fb)) == len(rows)
 
 

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from circlegc.graphs import ODD, EVEN, DecoratedGraph, GraphVector
 from circlegc.coboundary import delta_vector
 from circlegc.enumeration import basis
-from circlegc.homology import (SparseRationalMatrix, _kernel, _rank,
-                               chord_part, cohomology, delta_matrix,
-                               verify_cocycle)
+from circlegc.homology import _kernel, _rank, cohomology, delta_matrix
 from circlegc.cocycles import (order2_cocycle, order3_cocycle_even,
                                order3_cocycle_odd)
 from circlegc.framed import delta_underline
 from circlegc.weights import a_space_dim
+from circlegc.verification import _chord_part_rank
 
 def _dense_rank(rows, ncols) -> int:
     """Reference: dense Gaussian elimination on Fractions (mutates rows)."""
@@ -93,8 +92,8 @@ matrices = st.integers(1, 6).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_matches_numpy_oracle(rows):
-    exact = _rank([[Fraction(x) for x in row] for row in rows],
-                  len(rows[0]))
+    exact = _rank([{j: Fraction(x) for j, x in enumerate(row) if x}
+                   for row in rows], len(rows[0]))
     # small integer entries keep the floating point rank reliable
     approx = np.linalg.matrix_rank(np.array(rows, dtype=float))
     assert exact == approx
@@ -104,13 +103,14 @@ def test_rank_matches_numpy_oracle(rows):
 @given(matrices)
 def test_kernel_is_exact_and_complete(rows):
     ncols = len(rows[0])
-    frac = [[Fraction(x) for x in row] for row in rows]
-    ker = _kernel([row[:] for row in frac], ncols)
-    rank = _rank([row[:] for row in frac], ncols)
+    sparse = [{j: Fraction(x) for j, x in enumerate(row) if x}
+              for row in rows]
+    ker = _kernel(sparse, ncols)
+    rank = _rank(sparse, ncols)
     assert len(ker) == ncols - rank
     for vec in ker:
-        for row in frac:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
+        for row in sparse:
+            assert sum(v * vec[j] for j, v in row.items()) == 0
         lead = next(v for v in vec if v)
         assert lead == 1
 
@@ -141,9 +141,8 @@ def test_elimination_equals_dense_reference(matrix):
     want_kernel = _dense_kernel([row[:] for row in rows], ncols)
     want_rank = _dense_rank([row[:] for row in rows], ncols)
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    for given_rows in (rows, sparse):
-        assert _kernel(given_rows, ncols) == want_kernel
-        assert _rank(given_rows, ncols) == want_rank
+    assert _kernel(sparse, ncols) == want_kernel
+    assert _rank(sparse, ncols) == want_rank
 
 
 def test_delta_matrix_kernel_and_rank_equal_dense_reference():
@@ -151,7 +150,7 @@ def test_delta_matrix_kernel_and_rank_equal_dense_reference():
         for m in range(7):
             mat = delta_matrix(parity, 3, m)
             nr, nc = mat.shape
-            dense = [[mat.entry(i, j) for j in range(nc)]
+            dense = [[mat.columns[j].get(i, 0) for j in range(nc)]
                      for i in range(nr)]
             assert mat.kernel() == _dense_kernel(
                 [row[:] for row in dense], nc)
@@ -195,10 +194,14 @@ ORDER4_DIM_H = {ODD: [3, 0, 1, 0, 0, 0], EVEN: [1, 1, 2, 0, 0, 0]}
 
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_order4_tables_and_euler_identity(parity):
+    """The order-4 table, and the chord-diagram parts of the degree-0
+    cocycles are independent: projecting H^{4,0} to them loses nothing."""
     dim_c = [len(basis(parity, 4, m)) for m in range(6)]
-    dim_h = [cohomology(parity, 4, m).dim_H for m in range(6)]
+    reps = [cohomology(parity, 4, m) for m in range(6)]
+    dim_h = [rep.dim_H for rep in reps]
     assert dim_c == ORDER4_DIM_C[parity]
     assert dim_h == ORDER4_DIM_H[parity]
+    assert _chord_part_rank(reps[0]) == dim_h[0]
     assert not basis(parity, 4, 6)
     euler = sum((-1) ** m * d for m, d in enumerate(dim_c))
     assert euler == sum((-1) ** m * d for m, d in enumerate(dim_h))
@@ -207,10 +210,15 @@ def test_order4_tables_and_euler_identity(parity):
 
 def test_order5_degree0_pinned_to_chord_diagram_dimensions():
     """Bar-Natan, "On the Vassiliev knot invariants" (Topology 1995): odd
-    H^{5,0} = dim A_5/(1T) = 4, and the underline H^{5,0} = dim A_5 = 10."""
+    H^{5,0} = dim A_5/(1T) = 4, and the underline H^{5,0} = dim A_5 = 10.
+    In both parities the chord-diagram parts of the degree-0 cocycles are
+    independent, as the nontriviality argument needs."""
     assert [len(basis(p, 5, m)) for p in (ODD, EVEN) for m in (0, 1)] \
         == [589, 2343, 551, 2347]
-    assert cohomology(ODD, 5, 0).dim_H == 4
+    for parity, dim in ((ODD, 4), (EVEN, 3)):
+        rep = cohomology(parity, 5, 0)
+        assert rep.dim_H == dim
+        assert _chord_part_rank(rep) == dim
     assert cohomology(ODD, 5, 0, op=delta_underline).dim_H == 10
     assert a_space_dim(5) == 10
 
@@ -296,36 +304,15 @@ def test_h20_dimensions_and_class():
     # the odd (2, 0) kernel contains the order-2 cocycle
     odd = cohomology(ODD, 2, 0)
     assert odd.dim_kernel >= 1
-    assert verify_cocycle(order2_cocycle(ODD))
+    assert delta_vector(order2_cocycle(ODD)).is_zero()
 
 
 def test_verify_cocycle_pinned():
-    assert verify_cocycle(order3_cocycle_odd())
-    assert verify_cocycle(order3_cocycle_even())
+    assert delta_vector(order3_cocycle_odd()).is_zero()
+    assert delta_vector(order3_cocycle_even()).is_zero()
     chord = GraphVector(parity=ODD)
     chord.add_graph(DecoratedGraph(ODD, 2, 0, ((1, 2),)), Fraction(1))
-    assert not verify_cocycle(chord)
-
-
-def test_verify_cocycle_rejects_inhomogeneous():
-    v = GraphVector(parity=ODD)
-    v.add_graph(DecoratedGraph(ODD, 2, 0, ((1, 2),)), Fraction(1))
-    v.add_graph(DecoratedGraph(ODD, 4, 0, ((1, 3), (2, 4))), Fraction(1))
-    with pytest.raises(ValueError):
-        verify_cocycle(v)
-
-
-def test_chord_part_pinned():
-    v = order2_cocycle(ODD)
-    cp = chord_part(v)
-    assert len(cp.terms) == 1
-    coeff, g = cp.terms[0]
-    assert abs(coeff) == Fraction(1, 4)
-    assert g.v_int == 0
-    tripod = GraphVector(parity=ODD)
-    tripod.add_graph(DecoratedGraph(ODD, 3, 1, ((1, 4), (2, 4), (3, 4))),
-                     Fraction(1))
-    assert chord_part(tripod).is_zero()
+    assert not delta_vector(chord).is_zero()
 
 
 def test_kernel_vectors_are_exactly_closed():

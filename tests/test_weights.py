@@ -2,8 +2,6 @@
 the quotient dimensions, checked against matrix oracles."""
 
 import itertools
-import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +11,9 @@ from circlegc.enumeration import basis
 from circlegc.framed import delta_underline
 from circlegc.homology import delta_matrix
 from circlegc.weights import (CIRCLE, INNER, BNGraph, ChordDiagram,
-                              WeightPolynomial, a_space_dim, bn_of_chords,
+                              WeightPolynomial, _resolve_once, a_space_dim,
                               chord_diagram_basis, chord_diagram_of,
-                              forget_mark, gl_weight, gl_weight_by_traces,
-                              marked_average, stu_resolve, weight_of_bn)
+                              gl_weight, gl_weight_by_traces)
 
 TRIPOD_BN = BNGraph(3, 1, (((INNER, 1, 0), (CIRCLE, 1)),
                            ((INNER, 1, 1), (CIRCLE, 2)),
@@ -91,9 +88,16 @@ def test_batched_trace_oracle_equals_loop_oracle():
     assert checks == 18
 
 
+def _tripod_weight() -> WeightPolynomial:
+    """The tripod's gl(N) weight through one STU step at its first leg."""
+    w = WeightPolynomial()
+    for s, h in _resolve_once(TRIPOD_BN, 1, 0):
+        w = w + gl_weight(chord_diagram_of(h)).scaled(s)
+    return w
+
+
 def test_tripod_weight():
-    w = weight_of_bn(TRIPOD_BN)
-    assert w.coeffs == {3: 1, 1: -1}          # N^3 - N
+    assert _tripod_weight().coeffs == {3: 1, 1: -1}          # N^3 - N
 
 
 def test_tripod_weight_structure_constant_oracle():
@@ -101,7 +105,7 @@ def test_tripod_weight_structure_constant_oracle():
     defining-representation insertions; with the orientation reading
     the circle legs as (a, c, b) inside the commutator the matrix
     computation reproduces N^3 - N."""
-    w = weight_of_bn(TRIPOD_BN)
+    w = _tripod_weight()
     for N in (2, 3):
         units = {}
         for i in range(N):
@@ -125,41 +129,12 @@ def test_tripod_weight_structure_constant_oracle():
 
 
 def test_stu_resolution_of_tripod():
-    terms = stu_resolve(TRIPOD_BN)
-    assert len(terms) == 2
-    coeffs = sorted(c for c, _ in terms)
-    assert coeffs == [-1, 1]
-    for _, d in terms:
+    terms = _resolve_once(TRIPOD_BN, 1, 0)
+    assert sorted(c for c, _ in terms) == [-1, 1]
+    diagrams = {chord_diagram_of(h).canonical() for _, h in terms}
+    assert len(diagrams) == 2
+    for d in diagrams:
         assert len(d.chords) == 2
-
-
-def test_weight_independent_of_resolution_order():
-    rng = random.Random(11)
-    # two inner vertices joined to each other and to the circle
-    g = BNGraph(4, 2, (((INNER, 1, 0), (CIRCLE, 1)),
-                       ((INNER, 1, 1), (CIRCLE, 2)),
-                       ((INNER, 1, 2), (INNER, 2, 0)),
-                       ((INNER, 2, 1), (CIRCLE, 3)),
-                       ((INNER, 2, 2), (CIRCLE, 4))))
-    ref = weight_of_bn(g)
-
-    def random_chooser(h):
-        options = []
-        for x, y in h.edges:
-            for s, t in ((x, y), (y, x)):
-                if s[0] == INNER and t[0] == CIRCLE:
-                    options.append((s[1], s[2]))
-        return rng.choice(sorted(set(options)))
-
-    for _ in range(10):
-        assert weight_of_bn(g, chooser=random_chooser).coeffs == ref.coeffs
-
-
-def test_gl_weight_agrees_on_chord_diagrams():
-    for k in (1, 2, 3):
-        for d in chord_diagram_basis(k):
-            assert weight_of_bn(bn_of_chords(d)).coeffs == \
-                gl_weight(d).coeffs
 
 
 def test_a_space_dims():
@@ -169,23 +144,6 @@ def test_a_space_dims():
 def test_chord_diagram_basis_sizes():
     assert [len(chord_diagram_basis(k)) for k in range(5)] == \
         [1, 1, 2, 5, 18]
-
-
-def test_marked_average_one_chord():
-    d = ChordDiagram(((1, 2),))
-    avg = marked_average(d)
-    assert sum(c for c, _ in avg) == 1
-    assert len(avg) == 1                      # the two arcs are symmetric
-
-
-def test_forget_mark_right_inverse():
-    for k in (1, 2, 3):
-        for d in chord_diagram_basis(k):
-            out = {}
-            for c, m in marked_average(d):
-                f = forget_mark(m).canonical()
-                out[f.chords] = out.get(f.chords, Fraction(0)) + c
-            assert out == {d.chords: Fraction(1)}
 
 
 def test_underline_cocycles_carry_weighted_chord_diagrams():
