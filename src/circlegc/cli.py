@@ -6,7 +6,10 @@ coboundary to a JSON graph), ``cohomology`` (exact dimension reports),
 and a nonzero exit on failure), ``weight`` and ``astu-dim``
 (chord-diagram weight systems), ``faces`` (codimension-one face audits),
 and ``export-dot`` (Graphviz rendering).  All JSON output is byte
-deterministic for fixed inputs.
+deterministic for fixed inputs, written with ``serialize``'s one encoder
+configuration: reports through ``dumps``, and ``enumerate`` listings
+through ``write_listing``, which encodes and writes one basis graph
+before it builds the next graph's dict.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from . import __version__
@@ -25,16 +29,25 @@ from .framed import delta_framed, delta_underline
 from .weights import gl_weight, a_space_dim
 from .faces import audit_graph
 from .serialize import (diagram_from_dict, dumps, graph_to_dict,
-                        graph_from_dict, graph_to_dot, vector_to_dict)
+                        graph_from_dict, graph_to_dot, vector_to_dict,
+                        write_listing)
 from .verification import SUITES, run_suite
 
 
-def _emit(text: str, path):
+@contextmanager
+def _output(path):
+    """The file at ``path``, opened for writing and closed on exit, or
+    standard output when ``path`` is empty."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, path):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _read_json(path):
@@ -64,12 +77,13 @@ def cmd_enumerate(args):
     _check_complex(args)
     graphs = (framed_basis(args.order, args.degree) if args.framed
               else basis(args.parity, args.order, args.degree))
-    payload = {"tool": "circlegc", "version": __version__,
-               "parity": args.parity, "order": args.order,
-               "degree": args.degree, "framed": args.framed,
-               "count": len(graphs),
-               "graphs": [graph_to_dict(g) for g in graphs]}
-    _emit(dumps(payload), args.out)
+    head = {"tool": "circlegc", "version": __version__,
+            "parity": args.parity, "order": args.order,
+            "degree": args.degree, "framed": args.framed,
+            "count": len(graphs)}
+    # opened once the basis is built, so a failed command writes no file
+    with _output(args.out) as fh:
+        write_listing(fh, head, "graphs", map(graph_to_dict, graphs))
     return 0
 
 

@@ -119,16 +119,6 @@ class DecoratedGraph(NamedTuple):
 
     # -- derived structure ----------------------------------------------
 
-    def valences(self):
-        """Edge-end count per vertex label (a small loop counts twice)."""
-        val = {v: 0 for v in range(1, self.num_vertices + 1)}
-        for a, b in self.edges:
-            val[a] += 1
-            val[b] += 1
-        for entry in self.loops:
-            val[entry[0]] += 2
-        return val
-
     def chords(self):
         """Indices into ``edges`` of chords (both endpoints external)."""
         return [i for i, (a, b) in enumerate(self.edges)

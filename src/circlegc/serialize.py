@@ -8,6 +8,11 @@ circle vertices and ``{"int": j}`` for internal ones, with j counted
 from 1; odd edges are flagged ``"oriented": true`` and read from tail to
 head, even edges carry their positional ``"label"`` instead.
 
+One encoder holds the JSON settings, and both writers use it: ``dumps``
+returns a payload's text whole, and ``write_listing`` writes a payload
+with one list-valued key to a file, encoding the list one item at a
+time, to the same bytes ``dumps`` gives.
+
 The DOT export draws the circle as a cycle of bold arcs through the
 external vertices, graph edges dashed, and internal vertices filled.
 """
@@ -160,12 +165,36 @@ def diagram_from_dict(data) -> ChordDiagram:
     return d
 
 
+# The one JSON configuration: payloads are trees or DAGs built by this
+# package (a report may share one dict among several places), never
+# cyclic, so the cycle check is skipped.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
+
+
 def dumps(obj) -> str:
-    """Deterministic JSON text for any serializable payload.  Payloads
-    are trees or DAGs built by this package (a report may share one dict
-    among several places), never cyclic, so the cycle check is skipped."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      check_circular=False) + "\n"
+    """Deterministic JSON text for any serializable payload."""
+    return _ENCODER.encode(obj) + "\n"
+
+
+def write_listing(fh, head: dict, key: str, items) -> None:
+    """Write ``dumps(dict(head, **{key: list(items)}))`` to ``fh`` while
+    drawing from ``items``: each item is encoded and written before the
+    next is drawn, so the list is never held whole.  ``head`` has string
+    keys, and ``key`` is not one of them."""
+    encode = _ENCODER.encode
+    sep = "{"
+    for k in sorted([*head, key]):
+        fh.write(sep + encode(k) + ":")
+        sep = ","
+        if k != key:
+            fh.write(encode(head[k]))
+            continue
+        fh.write("[")
+        for i, item in enumerate(items):
+            fh.write(("," if i else "") + encode(item))
+        fh.write("]")
+    fh.write("}\n")
 
 
 def vector_to_dict(v: GraphVector, to_dict=graph_to_dict) -> dict:

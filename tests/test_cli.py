@@ -1,6 +1,7 @@
 """End-to-end command line checks via the in-process entry point."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ import sys
 
 import pytest
 
+from circlegc import cli
 from circlegc.cli import main
 from circlegc.graphs import ODD, EVEN, DecoratedGraph
-from circlegc.serialize import graph_to_dict
+from circlegc.serialize import dumps, graph_to_dict
 
 
 def run(capsys, *argv):
@@ -125,6 +127,51 @@ def test_enumerate_ignores_a_basis_cache_directory(tmp_path, capsys,
     assert json.loads(again)["count"] == 2
     assert list(cache.iterdir()) == [planted]
     assert json.loads(planted.read_text()) == data
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["--parity", "odd", "--order", "2", "--degree", "1"], 2),
+    (["--parity", "even", "--order", "3", "--degree", "1"], 17),
+    (["--framed", "--order", "2", "--degree", "1"], 4),
+    (["--framed", "--order", "1", "--degree", "3"], 0),
+], ids=["odd", "even", "framed", "framed-empty"])
+def test_enumerate_prints_the_bytes_it_writes(tmp_path, capsys, argv, count):
+    out = tmp_path / "basis.json"
+    code, printed = run(capsys, "enumerate", *argv, "--out", str(out))
+    assert (code, printed) == (0, "")
+    code, printed = run(capsys, "enumerate", *argv)
+    assert code == 0
+    assert printed == out.read_text()
+    data = json.loads(printed)
+    assert data["count"] == len(data["graphs"]) == count
+    if not count:
+        assert '"count":0' in printed and '"graphs":[]' in printed
+
+
+def test_enumerate_writes_each_graph_before_the_next_dict(monkeypatch):
+    """Graph i's text is in the stream before graph i + 1's dict is built,
+    so the listing never holds every graph's dict at once."""
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    built = []
+
+    def to_dict(g):
+        if built:
+            assert stream.getvalue().endswith(dumps(built[-1]).rstrip())
+        built.append(graph_to_dict(g))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "graph_to_dict", to_dict)
+    assert main(["enumerate", "--order", "3", "--degree", "1"]) == 0
+    assert len(built) == json.loads(stream.getvalue())["count"] > 1
+
+
+def test_failed_enumerate_creates_no_file(tmp_path, capsys):
+    out = tmp_path / "basis.json"
+    assert main(["enumerate", "--parity", "even", "--framed", "--order",
+                 "2", "--degree", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("circlegc: error: ")
+    assert not out.exists()
 
 
 def _chord(**changes):
@@ -414,6 +461,47 @@ def test_complex_cohomology_report_bytes_are_pinned(tmp_path, flag, k):
                      str(m), "--report", str(report)]) == 0
         digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
     assert digests == COMPLEX_COHOMOLOGY_DIGESTS[flag, k]
+
+
+# SHA-256 of the framed basis listings, orders 1..3 at degrees 0..2k+1,
+# pinned before enumerate wrote its listing one graph at a time
+FRAMED_ENUMERATE_DIGESTS = {
+    1: [
+        "97e725d08729772d000c7835fae728bfbf9d1cf99836f8666b702148da2e01a0",
+        "8758b87751ee7fa9067eb10e2fc37b6d1696228f809be868aff99db9c4c3d984",
+        "92dcc63e7db8da77a33db5b9d1391c30fcd674ae32c8198c768bd08068cb30b4",
+        "39e05fde2c0fa37644aa1aef933df62dfb044250941c6b32b563c132bf6e368f",
+    ],
+    2: [
+        "cd6883b3a9e08832581db153e983eb005c028f1cfeb4549b2b2441350a2d9127",
+        "725744a8f037d723fedbdce65c15de043535809d21f3c68a455885e916c6bb9d",
+        "3cbaac900d0a659a9a81ddc22e9b10cf56956e269f67d8137679c02e42d1425e",
+        "65b0feb5460c57fd94644452a4dd19477673d6074d878145dd0d1f7f5910b2f5",
+        "479fc7c477090d1e3a963124c3379aa2f1e39e3775d157eb1a5304193edf5658",
+        "7e17ba6079672efa7efcf7ae33f2b880f988be7c5a7431df24bc2320878e54a0",
+    ],
+    3: [
+        "94620fb67f2c4a12f2301cd133d75fef51c0411b9b2b5a5229b5cea6bdbe3c80",
+        "a0fbfdaa8a000f2bed9e4ca5e17d4cf81b4d545e897e7a37365d2be15bd77a10",
+        "78bd6538e12f0c5cf03cf5e7dedb3356ab8ae9ebbe1bcbdc3947952fa68450fe",
+        "07632bfb8c9ff0aa442ecc180bfeae7249987b756bb0da9c9d01420770824a93",
+        "a9f5bac633c6ac0c8c68a8bec2f7cbdc06adb8865fab6bee13777f7fbf3dd620",
+        "4f03a35654c8fc342bb15302bb13f8253353a7c6d1ac63ab2462acd7a7616d5b",
+        "0b45a4d5b8c8761f050061bc6414cf0770fc8b7d9951538b0f8ff99f144084e1",
+        "c755c94a30b8b9517f61d76cd0883f1611f19d0b0161369b7d1e77087116046c",
+    ],
+}
+
+
+@pytest.mark.parametrize("k", sorted(FRAMED_ENUMERATE_DIGESTS))
+def test_framed_enumerate_report_bytes_are_pinned(tmp_path, k):
+    digests = []
+    for m in range(2 * k + 2):
+        report = tmp_path / ("%d.json" % m)
+        assert main(["enumerate", "--framed", "--order", str(k), "--degree",
+                     str(m), "--out", str(report)]) == 0
+        digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
+    assert digests == FRAMED_ENUMERATE_DIGESTS[k]
 
 
 # SHA-256 of the order-5 enumerate reports at degrees 3..7, the ones the

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, and every
-function or class a package module defines is used by the package or by
-the benchmark, not by the tests alone."""
+function or class a package module defines, and every public method of
+such a class, is used by the package or by the benchmark, not by the
+tests alone."""
 
 import ast
 import os
@@ -11,7 +12,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "circlegc")
 BENCH = os.path.join(ROOT, "perfbench")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def _parse(path):
@@ -39,21 +41,38 @@ def test_no_unused_imports(module):
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
+def _definitions(tree):
+    """Each module-level function and class, and each public method of a
+    module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, DEFINITIONS):
+            yield stmt
+            if isinstance(stmt, ast.ClassDef):
+                yield from (f for f in stmt.body
+                            if isinstance(f, FUNCTIONS)
+                            and not f.name.startswith("_"))
+
+
 def _references(path):
-    """(name, owner) for each name a file reads: a variable, an attribute,
-    or a string equal to a name (``perfbench/spans.py`` names its targets
-    by string).  The owner is the module-level definition the reference
-    sits in, or None."""
-    for stmt in _parse(path).body:
-        owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                               str):
-                yield node.value, owner
+    """(name, owners) for each name a file reads: a variable, an
+    attribute, or a string equal to a name (``perfbench/spans.py`` names
+    its targets by string).  The owners are the names of the definitions
+    the reference sits in."""
+    tree = _parse(path)
+    owners = {}
+    for definition in _definitions(tree):
+        for node in ast.walk(definition):
+            owners.setdefault(id(node), set()).add(definition.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        yield name, owners.get(id(node), ())
 
 
 def _sources():
@@ -66,13 +85,12 @@ def _sources():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_definition_is_used_outside_the_tests(module):
     path = os.path.join(PACKAGE, module)
-    defined = [stmt.name for stmt in _parse(path).body
-               if isinstance(stmt, DEFINITIONS)]
+    defined = [d.name for d in _definitions(_parse(path))]
     used = set()
     for source in _sources():
-        for name, owner in _references(source):
+        for name, owners in _references(source):
             # a definition's own body does not count as a use of it
-            if source != path or owner != name:
+            if source != path or name not in owners:
                 used.add(name)
     unused = ["%s %s" % (module, name) for name in defined
               if name not in used]

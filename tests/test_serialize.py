@@ -1,5 +1,7 @@
 """Bit-exact JSON round trips and the DOT export format."""
 
+import io
+import itertools
 import json
 
 import pytest
@@ -10,7 +12,7 @@ from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
                              DecoratedGraph)
 from circlegc.enumeration import basis, framed_basis
 from circlegc.serialize import (dumps, graph_from_dict, graph_to_dict,
-                                graph_to_dot)
+                                graph_to_dot, write_listing)
 
 
 def _all_graphs():
@@ -32,6 +34,19 @@ def test_serialization_is_byte_stable():
     for g in _all_graphs():
         text = dumps(graph_to_dict(g))
         assert dumps(graph_to_dict(graph_from_dict(json.loads(text)))) == text
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+@pytest.mark.parametrize("key", ["graphs", "a", "zz"])
+def test_write_listing_matches_dumps(n, key):
+    """The streamed listing is the text ``dumps`` gives for the whole
+    payload, whether the list key sorts first, among or after the head."""
+    items = [graph_to_dict(g) for g in itertools.islice(_all_graphs(), n)]
+    head = {"tool": "circlegc", "count": n, "framed": False,
+            "version": "0.0", "empty": {}, "nested": {"graphs": []}}
+    out = io.StringIO()
+    write_listing(out, head, key, iter(items))
+    assert out.getvalue() == dumps(dict(head, **{key: items}))
 
 
 def test_schema_fields():
