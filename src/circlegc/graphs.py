@@ -146,11 +146,6 @@ class DecoratedGraph(NamedTuple):
         return count
 
 
-def order(g: DecoratedGraph) -> int:
-    """e - v_int (+ number of crosses in the framed case)."""
-    return g.num_edges - g.v_int + g.num_crosses
-
-
 def degree(g: DecoratedGraph) -> int:
     """2e - 3 v_int - v_ext (+ number of crosses in the framed case)."""
     return 2 * g.num_edges - 3 * g.v_int - g.v_ext + g.num_crosses
@@ -562,12 +557,6 @@ class GraphVector:
             out._terms = {g: c * factor for g, c in self._terms.items()}
         return out
 
-    def __add__(self, other: "GraphVector") -> "GraphVector":
-        return combine(self, other, 1, 1)
-
-    def __sub__(self, other: "GraphVector") -> "GraphVector":
-        return combine(self, other, 1, -1)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GraphVector) and self._terms == other._terms
 
@@ -581,27 +570,6 @@ class GraphVector:
                 for c, g in self.terms[:4]]
         more = "" if len(self._terms) <= 4 else " ..."
         return "GraphVector(%s%s)" % ("; ".join(bits), more)
-
-
-def combine(a: GraphVector, b: GraphVector, lam=1, mu=1) -> GraphVector:
-    """lam * a + mu * b over the canonical basis."""
-    if a.parity is not None and b.parity is not None and a.parity != b.parity:
-        raise ValueError("parity mismatch: %s vs %s" % (a.parity, b.parity))
-    out = GraphVector(parity=a.parity or b.parity)
-    lam = Fraction(lam)
-    mu = Fraction(mu)
-    for g, c in a._terms.items():
-        out._terms[g] = c * lam
-    for g, c in b._terms.items():
-        new = out._terms.get(g, Fraction(0)) + c * mu
-        if new == 0:
-            out._terms.pop(g, None)
-        else:
-            out._terms[g] = new
-    if lam == 0:
-        for g in [g for g, c in out._terms.items() if c == 0]:
-            del out._terms[g]
-    return out
 
 
 def linear(op, v: GraphVector) -> GraphVector:

@@ -20,8 +20,7 @@ from .framed import (delta_framed, delta_underline,
 from .cocycles import (order2_cocycle, order3_cocycle_odd,
                        order3_cocycle_even)
 from .weights import (chord_diagram_basis, gl_weight, gl_weight_by_traces,
-                      a_space_dim, _one_vertex_graphs, _resolve_once,
-                      chord_diagram_of, WeightPolynomial)
+                      a_space_dim, _stu_expansions, WeightPolynomial)
 from .faces import (FaceDescriptor, TYPE_I, TYPE_II, TYPE_III, fiber_dim,
                     is_hidden, degree_lower_bound, vanishing_threshold,
                     audit_graph)
@@ -239,14 +238,13 @@ def criterion_gl_weights() -> dict:
     stu_bad = 0
     stu_n = 0
     for k in (2, 3):
-        for g in _one_vertex_graphs(k):
+        for expansions in _stu_expansions(k):
             # resolving through any leg of the same vertex must give the
             # same weight; their difference is an STU combination
             weights = []
-            for slot in (0, 1, 2):
+            for expansion in expansions:
                 total = WeightPolynomial({})
-                for s, h in _resolve_once(g, 1, slot):
-                    d = chord_diagram_of(h)
+                for s, d in expansion:
                     total = total + gl_weight(d).scaled(s)
                 weights.append(total)
             stu_n += 1

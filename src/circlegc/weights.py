@@ -1,13 +1,12 @@
-"""Uni-trivalent graphs on a circle, STU reduction, and gl(N) weights.
+"""Chord diagrams, their STU relations, and gl(N) weights.
 
-A BN graph is an oriented circle with univalent endpoints plus trivalent
-inner vertices, each inner vertex carrying a cyclic orientation of its
-three half-edges; reversing the orientation at one vertex multiplies the
-graph by -1.  One STU step (``_resolve_once``) resolves an inner vertex
-with a leg on the circle into the difference of the two ways of sliding
-its remaining half-edges onto the circle.  Resolving a one-vertex graph
-through two different legs gives an STU relation between chord
-diagrams: ``a_space_dim`` takes the rank of these relations, and the
+A one-vertex graph is an oriented circle with one trivalent inner
+vertex, whose three legs end on the circle, plus chords.  Resolving the
+vertex through one leg (STU) gives the difference of the two ways of
+sliding its other half-edges onto the circle, and two resolutions of the
+same graph differ by an STU relation between chord diagrams.
+``_stu_expansions`` forms these resolutions, the one home of the STU
+relations: ``a_space_dim`` takes the rank of the relations, and the
 gl(N) criterion checks that the weight kills them.  The gl(N) weight of
 a chord diagram is N^c where c counts the closed curves obtained by
 traversing the circle and jumping along chords.
@@ -93,24 +92,8 @@ class WeightPolynomial:
             out[p] = out.get(p, 0) + c
         return WeightPolynomial(out)
 
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0) - c
-        return WeightPolynomial(out)
-
     def scaled(self, f):
         return WeightPolynomial({p: c * f for p, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, WeightPolynomial) and \
-            self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def evaluate(self, n):
         return sum(c * n ** p for p, c in self.coeffs.items())
@@ -192,93 +175,6 @@ def gl_weight_by_traces(d: ChordDiagram, N: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# BN graphs and the STU rewrite
-
-CIRCLE = "c"
-INNER = "v"
-
-
-class BNGraph(NamedTuple):
-    """Circle with univalent points 1..n_circle plus trivalent inner
-    vertices 1..n_inner.
-
-    Each edge joins two ends; an end is ("c", point) or ("v", vertex,
-    slot) with slot in {0, 1, 2}.  The slot numbers give the cyclic
-    orientation at the vertex; swapping two slots is the same graph with
-    the opposite sign, which callers account for themselves.
-    """
-    n_circle: int
-    n_inner: int
-    edges: tuple
-
-
-def chord_diagram_of(g: BNGraph) -> ChordDiagram:
-    if g.n_inner:
-        raise ValueError("graph still has inner vertices")
-    chords = tuple(sorted(tuple(sorted((x[1], y[1])))
-                          for x, y in g.edges))
-    return ChordDiagram(chords)
-
-
-def _resolve_once(g: BNGraph, vertex: int, slot: int):
-    """One STU step at the given circle-attached slot.
-
-    The leg at ``slot`` ends on circle point p.  The point splits in two;
-    reading the vertex orientation onward from the leg, the last half-edge
-    lands first (at p) and the next lands second (at the new point after
-    p) in the positive term, and the other way around in the negative one.
-    The convention makes the tripod resolve to N^3 - N under the gl(N)
-    weight, matching the structure constant contraction.
-    Returns [(+1, graph), (-1, graph)].
-    """
-    leg = None
-    others = {}
-    rest = []
-    for x, y in g.edges:
-        ends = (x, y)
-        hit = [e for e in ends if e[0] == INNER and e[1] == vertex]
-        if not hit:
-            rest.append((x, y))
-            continue
-        if len(hit) == 2:
-            raise ValueError("self-loop at an inner vertex")
-        other = ends[0] if ends[1] in hit else ends[1]
-        s = hit[0][2]
-        if s == slot:
-            if other[0] != CIRCLE:
-                raise ValueError("slot does not lead to the circle")
-            leg = other[1]
-        else:
-            others[s] = other
-    if leg is None:
-        raise ValueError("no circle leg at that slot")
-    first = others[(slot + 1) % 3]
-    second = others[(slot + 2) % 3]
-
-    def rebuild(end_at_p, end_at_q, p, q):
-        def shift(end):
-            if end[0] == CIRCLE and end[1] > leg:
-                return (CIRCLE, end[1] + 1)
-            return end
-
-        def renumber(end):
-            if end[0] == INNER:
-                v, s = end[1], end[2]
-                if v > vertex:
-                    return (INNER, v - 1, s)
-            return end
-
-        edges = [(renumber(shift(x)), renumber(shift(y))) for x, y in rest]
-        edges.append((renumber(shift(end_at_p)), (CIRCLE, p)))
-        edges.append((renumber(shift(end_at_q)), (CIRCLE, q)))
-        return BNGraph(g.n_circle + 1, g.n_inner - 1, tuple(edges))
-
-    p, q = leg, leg + 1
-    return [(1, rebuild(second, first, p, q)),
-            (-1, rebuild(first, second, p, q))]
-
-
-# ----------------------------------------------------------------------
 # the algebra of chord diagrams modulo STU
 
 
@@ -300,44 +196,67 @@ def chord_diagram_basis(k: int):
                    for m in _matchings(tuple(range(1, 2 * k + 1)))})
 
 
-def _one_vertex_graphs(k: int):
-    """Degree-k BN graphs with a single inner vertex, all legs on the
-    circle, up to nothing (duplicates are harmless for rank purposes)."""
+def _diagram(chords) -> ChordDiagram:
+    return ChordDiagram(tuple(sorted(tuple(sorted(c)) for c in chords)))
+
+
+def _stu_expansions(k: int):
+    """The STU expansions of every degree-k graph with one inner vertex.
+
+    Such a graph has 2k - 1 circle points: the inner vertex's legs end
+    on p0 < p1 < p2, read in that cyclic order, and chords match the
+    other points.  For each graph this yields three expansions, one per
+    leg slot, each a list [(+1, D), (-1, D')] of chord diagrams.  The leg
+    at ``slot`` ends on point p, which splits in two, and the points above
+    p shift up by one.  In D the leg at slot + 2 lands at p and the leg at
+    slot + 1 at p + 1; D' swaps them.  The convention makes the tripod
+    resolve to N^3 - N under the gl(N) weight, matching the structure
+    constant contraction.  Two expansions of one graph differ by an STU
+    relation.
+    """
     n = 2 * k - 1
-    out = []
     for legs in itertools.combinations(range(1, n + 1), 3):
-        others = [p for p in range(1, n + 1) if p not in legs]
-        for m in _matchings(tuple(others)):
-            edges = tuple(((INNER, 1, s), (CIRCLE, p))
-                          for s, p in enumerate(legs))
-            edges += tuple(((CIRCLE, a), (CIRCLE, b)) for a, b in m)
-            out.append(BNGraph(n, 1, edges))
-    return out
+        others = tuple(p for p in range(1, n + 1) if p not in legs)
+        for m in _matchings(others):
+            expansions = []
+            for slot, p in enumerate(legs):
+                def up(q):
+                    return q + 1 if q > p else q
+
+                chords = [(up(a), up(b)) for a, b in m]
+                first = up(legs[(slot + 1) % 3])
+                second = up(legs[(slot + 2) % 3])
+                expansions.append(
+                    [(1, _diagram(chords + [(second, p), (first, p + 1)])),
+                     (-1, _diagram(chords + [(first, p), (second, p + 1)]))])
+            yield expansions
 
 
 @lru_cache(maxsize=None)
 def a_space_dim(k: int) -> int:
     """Dimension of the degree-k chord diagram space modulo STU.
 
-    Brute force: span the canonical k-chord diagrams, generate every
-    relation obtained by resolving a one-vertex graph through two
-    different circle legs, and subtract the rank of the relation matrix.
+    Brute force: span the canonical k-chord diagrams, take the
+    difference of every two STU expansions of one one-vertex graph as a
+    relation, and subtract the rank of the relation matrix.  Each
+    expanded diagram is found among the rotations of its canonical one.
     """
     if k < 0:
         raise ValueError("negative degree")
     basis = chord_diagram_basis(k)
-    index = {d: i for i, d in enumerate(basis)}
+    index = {d.rotated(r): i for i, d in enumerate(basis)
+             for r in range(2 * k)}
     rows = []
-    for g in _one_vertex_graphs(k):
-        expansions = []
-        for slot in (0, 1, 2):
+    for expansions in _stu_expansions(k):
+        vecs = []
+        for expansion in expansions:
             vec = {}
-            for s, h in _resolve_once(g, 1, slot):
-                i = index[chord_diagram_of(h).canonical()]
+            for s, d in expansion:
+                i = index[d]
                 vec[i] = vec.get(i, 0) + s
-            expansions.append(vec)
+            vecs.append(vec)
         # zero entries, and so empty rows, are dropped by the elimination
-        for x, y in itertools.combinations(expansions, 2):
+        for x, y in itertools.combinations(vecs, 2):
             rows.append({i: x.get(i, 0) - y.get(i, 0)
                          for i in x.keys() | y.keys()})
     from .homology import _rank

@@ -1,5 +1,6 @@
-"""Shared helpers: random decoration changes with their tracked signs, and
-the exhaustive shape search the pruned one is checked against."""
+"""Shared helpers: the order of a graph, random decoration changes with
+their tracked signs, and the exhaustive shape search the pruned one is
+checked against."""
 
 from __future__ import annotations
 
@@ -25,6 +26,11 @@ def _src_on_subprocess_path():
         mp.setenv("PYTHONPATH", os.pathsep.join(
             filter(None, (SRC, os.environ.get("PYTHONPATH")))))
         yield
+
+
+def order(g: DecoratedGraph) -> int:
+    """e - v_int (+ number of crosses in the framed case)."""
+    return g.num_edges - g.v_int + g.num_crosses
 
 
 def _perm_sign(perm) -> int:

@@ -9,7 +9,7 @@ import pytest
 
 from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
                              DecoratedGraph, canonical_form, degree,
-                             is_zero_by_relations, order, validate)
+                             is_zero_by_relations, validate)
 from circlegc.coboundary import (ContractionSite, contract_raw,
                                  contraction_sites, delta, delta_vector,
                                  _sigma)
@@ -18,7 +18,7 @@ from circlegc.framed import (delta_framed, delta_underline,
                              short_chord_substitution)
 from circlegc.serialize import dumps, vector_to_dict
 
-from conftest import decorated_variant
+from conftest import decorated_variant, order
 
 TRIPOD = DecoratedGraph(ODD, 3, 1, ((1, 4), (2, 4), (3, 4)))
 CROSSING = DecoratedGraph(ODD, 4, 0, ((1, 3), (2, 4)))

@@ -7,12 +7,11 @@ import pytest
 
 from circlegc import enumeration
 from circlegc.graphs import (ODD, EVEN, DecoratedGraph, _external_rows,
-                             _pair_bits, canonical_form, degree, order,
-                             validate)
+                             _pair_bits, canonical_form, degree, validate)
 from circlegc.enumeration import basis, framed_basis
 
-from conftest import (reference_framed_shapes, reference_labelled_shapes,
-                      reference_shapes)
+from conftest import (order, reference_framed_shapes,
+                      reference_labelled_shapes, reference_shapes)
 
 CROSSING = DecoratedGraph(ODD, 4, 0, ((1, 3), (2, 4)))
 TRIPOD = DecoratedGraph(ODD, 3, 1, ((1, 4), (2, 4), (3, 4)))

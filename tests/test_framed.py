@@ -6,7 +6,7 @@ import random
 import pytest
 
 from circlegc.graphs import (ODD, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
-                             GraphVector, degree, linear, order)
+                             GraphVector, degree, linear)
 from circlegc.coboundary import delete_cross, delta
 from circlegc.enumeration import basis, framed_basis
 from circlegc.homology import _rank, cohomology, delta_matrix
@@ -14,7 +14,7 @@ from circlegc.framed import (delta_framed, delta_underline,
                              delta_underline_vector,
                              short_chord_substitution)
 
-from conftest import decorated_variant
+from conftest import decorated_variant, order
 
 
 def _degrees(k):

@@ -1,6 +1,7 @@
 """Chord diagram weight systems: gl(N) evaluations, STU reduction, and
 the quotient dimensions, checked against matrix oracles."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,14 +11,10 @@ from circlegc.graphs import ODD
 from circlegc.enumeration import basis
 from circlegc.framed import delta_underline
 from circlegc.homology import delta_matrix
-from circlegc.weights import (CIRCLE, INNER, BNGraph, ChordDiagram,
-                              WeightPolynomial, _resolve_once, a_space_dim,
-                              chord_diagram_basis, chord_diagram_of,
-                              gl_weight, gl_weight_by_traces)
-
-TRIPOD_BN = BNGraph(3, 1, (((INNER, 1, 0), (CIRCLE, 1)),
-                           ((INNER, 1, 1), (CIRCLE, 2)),
-                           ((INNER, 1, 2), (CIRCLE, 3))))
+from circlegc.weights import (ChordDiagram, WeightPolynomial,
+                              _stu_expansions, a_space_dim,
+                              chord_diagram_basis, gl_weight,
+                              gl_weight_by_traces)
 
 
 def test_gl_weight_empty_diagram():
@@ -88,11 +85,19 @@ def test_batched_trace_oracle_equals_loop_oracle():
     assert checks == 18
 
 
+def _tripod_expansion():
+    """The STU expansion of the tripod through its first leg.  The tripod,
+    with legs on points 1, 2, 3 and no chords, is the only one-vertex
+    graph of degree 2."""
+    (tripod,) = _stu_expansions(2)
+    return tripod[0]
+
+
 def _tripod_weight() -> WeightPolynomial:
     """The tripod's gl(N) weight through one STU step at its first leg."""
     w = WeightPolynomial()
-    for s, h in _resolve_once(TRIPOD_BN, 1, 0):
-        w = w + gl_weight(chord_diagram_of(h)).scaled(s)
+    for s, d in _tripod_expansion():
+        w = w + gl_weight(d).scaled(s)
     return w
 
 
@@ -129,16 +134,17 @@ def test_tripod_weight_structure_constant_oracle():
 
 
 def test_stu_resolution_of_tripod():
-    terms = _resolve_once(TRIPOD_BN, 1, 0)
+    terms = _tripod_expansion()
     assert sorted(c for c, _ in terms) == [-1, 1]
-    diagrams = {chord_diagram_of(h).canonical() for _, h in terms}
+    diagrams = {d.canonical() for _, d in terms}
     assert len(diagrams) == 2
     for d in diagrams:
         assert len(d.chords) == 2
 
 
 def test_a_space_dims():
-    assert [a_space_dim(k) for k in range(1, 5)] == [1, 2, 3, 6]
+    # Bar-Natan, "On the Vassiliev knot invariants", Topology 1995
+    assert [a_space_dim(k) for k in range(1, 7)] == [1, 2, 3, 6, 10, 19]
 
 
 def test_chord_diagram_basis_sizes():
@@ -165,3 +171,18 @@ def test_chord_diagram_validation():
         ChordDiagram(((1, 2), (2, 3))).validate()
     with pytest.raises(ValueError):
         ChordDiagram(((1, 2),), mark=5).validate()
+
+
+def test_stu_relations_are_pinned():
+    """The STU expansion of every one-vertex graph through each of its
+    legs, k = 2..5, in generation order: the signs and the chords."""
+    digest = hashlib.sha256()
+    graphs = 0
+    for k in range(2, 6):
+        for expansions in _stu_expansions(k):
+            graphs += 1
+            digest.update(repr([[(s, d.chords) for s, d in e]
+                                for e in expansions]).encode())
+    assert graphs == 1376
+    assert digest.hexdigest() == \
+        "386b33bb3dd93e22de3e55130dc1d26880251292b3a638176c51da0a525418fe"
