@@ -7,9 +7,10 @@ and a nonzero exit on failure), ``weight`` and ``astu-dim``
 (chord-diagram weight systems), ``faces`` (codimension-one face audits),
 and ``export-dot`` (Graphviz rendering).  All JSON output is byte
 deterministic for fixed inputs, written with ``serialize``'s one encoder
-configuration: reports through ``dumps``, and ``enumerate`` listings
-through ``write_listing``, which encodes and writes one basis graph
-before it builds the next graph's dict.
+configuration: most reports through ``dumps``, and ``enumerate``
+listings and ``cohomology`` reports through ``write_listing``, which
+encodes and writes one basis graph or cocycle before it builds the next
+one's dict.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def cmd_enumerate(args):
             "count": len(graphs)}
     # opened once the basis is built, so a failed command writes no file
     with _output(args.out) as fh:
-        write_listing(fh, head, "graphs", map(graph_to_dict, graphs))
+        write_listing(fh, head, {"graphs": map(graph_to_dict, graphs)})
     return 0
 
 
@@ -112,15 +113,17 @@ def cmd_cohomology(args):
     # every cocycle term is a basis graph: one dict per graph, shared by
     # the basis ordering and the cocycles
     to_dict = lru_cache(maxsize=None)(graph_to_dict)
-    payload = {"tool": "circlegc", "version": __version__,
-               "parity": rep.parity, "order": rep.k, "degree": rep.m,
-               "framed": args.framed, "underline": args.underline,
-               "dim_kernel": rep.dim_kernel,
-               "rank_previous": rep.rank_previous, "dim_H": rep.dim_H,
-               "basis_ordering": [to_dict(g) for g in rep.basis],
-               "cocycles": [vector_to_dict(v, to_dict)
-                            for v in rep.cocycle_basis]}
-    _emit(dumps(payload), args.report)
+    head = {"tool": "circlegc", "version": __version__,
+            "parity": rep.parity, "order": rep.k, "degree": rep.m,
+            "framed": args.framed, "underline": args.underline,
+            "dim_kernel": rep.dim_kernel,
+            "rank_previous": rep.rank_previous, "dim_H": rep.dim_H}
+    lists = {"basis_ordering": map(to_dict, rep.basis),
+             "cocycles": (vector_to_dict(v, to_dict)
+                          for v in rep.cocycle_basis)}
+    # opened once the report is computed, so a failed command writes no file
+    with _output(args.report) as fh:
+        write_listing(fh, head, lists)
     return 0
 
 

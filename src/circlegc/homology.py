@@ -17,7 +17,9 @@ columns.
   and the pivot columns before it, which is exactly the RREF kernel
   vector of that free column.  With the first nonzero coefficient
   normalized to +1, the kernel basis and its order do not depend on
-  which row each pivot sits in.  The reports print these vectors.
+  which row each pivot sits in.  Each kernel vector is returned sparse,
+  as a ``{column: Fraction}`` map of its nonzero coefficients, and the
+  reports print these vectors.
 * The rank path (``_rank``) walks the columns sparsest first, which
   keeps the fill-in low, and carries no combination: the rank does not
   depend on the column order, and nothing else is read from it.
@@ -84,8 +86,9 @@ class SparseRationalMatrix:
         return _rank(self._rows(), len(self.col_basis))
 
     def kernel(self):
-        """Kernel basis as coefficient lists over col_basis, normalized so
-        the first nonzero coefficient of each vector is +1."""
+        """Kernel basis as sparse ``{column: Fraction}`` maps over
+        col_basis, normalized so the first nonzero coefficient of each
+        vector is +1."""
         return _kernel(self._rows(), len(self.col_basis))
 
 
@@ -112,11 +115,11 @@ def _eliminate(rows, ncols, with_kernel):
 
     With ``with_kernel`` the columns go left to right, each carrying the
     combination of columns it is, and the kernel vectors are returned
-    (dense lists of Fractions over the columns, first nonzero entry +1),
-    one per dependent column in column order: the unique vanishing
-    combination of that column and the earlier pivot columns.  Without,
-    the columns go sparsest first, carry nothing, and the rank is
-    returned.
+    (sparse ``{column: Fraction}`` maps of the nonzero coefficients, in
+    column order, first entry +1), one per dependent column in column
+    order: the unique vanishing combination of that column and the
+    earlier pivot columns.  Without, the columns go sparsest first,
+    carry nothing, and the rank is returned.
     """
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -171,12 +174,9 @@ def _eliminate(rows, ncols, with_kernel):
             pivot_of[r] = len(pivots)
             pivots.append((r, vec, comb))
         elif with_kernel:
-            first = min(comb)
-            lead = comb[first] * scale[first]
-            out = [Fraction(0)] * ncols
-            for c, u in comb.items():
-                out[c] = u * scale[c] / lead
-            kernel.append(out)
+            support = sorted(comb)
+            lead = comb[support[0]] * scale[support[0]]
+            kernel.append({c: comb[c] * scale[c] / lead for c in support})
     return kernel if with_kernel else len(pivots)
 
 
@@ -225,8 +225,8 @@ def cohomology(parity: str, k: int, m: int,
     rank_prev = delta_matrix(parity, k, m - 1, op=op,
                              basis_fn=basis_fn).rank() if m > 0 else 0
     src = out_mat.col_basis
-    cocycles = [GraphVector.from_canonical(dict(zip(src, vec)), parity)
-                for vec in ker]
+    cocycles = [GraphVector.from_canonical(
+        {src[c]: v for c, v in vec.items()}, parity) for vec in ker]
     return CohomologyReport(parity, k, m, len(ker), rank_prev,
                             len(ker) - rank_prev, src, cocycles)
 

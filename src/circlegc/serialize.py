@@ -9,9 +9,10 @@ from 1; odd edges are flagged ``"oriented": true`` and read from tail to
 head, even edges carry their positional ``"label"`` instead.
 
 One encoder holds the JSON settings, and both writers use it: ``dumps``
-returns a payload's text whole, and ``write_listing`` writes a payload
-with one list-valued key to a file, encoding the list one item at a
-time, to the same bytes ``dumps`` gives.
+returns a payload's text whole, and ``write_listing``, the one streamed
+writer, writes a payload with list-valued keys to a file, encoding each
+list one item at a time, to the same bytes ``dumps`` gives, so the text
+of a long listing or report is never held whole.
 
 The DOT export draws the circle as a cycle of bold arcs through the
 external vertices, graph edges dashed, and internal vertices filled.
@@ -177,21 +178,22 @@ def dumps(obj) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
-def write_listing(fh, head: dict, key: str, items) -> None:
-    """Write ``dumps(dict(head, **{key: list(items)}))`` to ``fh`` while
-    drawing from ``items``: each item is encoded and written before the
-    next is drawn, so the list is never held whole.  ``head`` has string
-    keys, and ``key`` is not one of them."""
+def write_listing(fh, head: dict, lists: dict) -> None:
+    """Write ``dumps({**head, **{k: list(v) for k, v in lists.items()}})``
+    to ``fh`` while drawing from the iterables in ``lists``, in key order:
+    each item is encoded and written before the next is drawn, so no list
+    is ever held whole.  All keys are strings, and ``head`` and ``lists``
+    share none."""
     encode = _ENCODER.encode
     sep = "{"
-    for k in sorted([*head, key]):
+    for k in sorted([*head, *lists]):
         fh.write(sep + encode(k) + ":")
         sep = ","
-        if k != key:
+        if k in head:
             fh.write(encode(head[k]))
             continue
         fh.write("[")
-        for i, item in enumerate(items):
+        for i, item in enumerate(lists[k]):
             fh.write(("," if i else "") + encode(item))
         fh.write("]")
     fh.write("}\n")

@@ -191,9 +191,18 @@ def _matchings(points):
 
 @lru_cache(maxsize=None)
 def chord_diagram_basis(k: int):
-    """Canonical k-chord diagrams up to rotation, sorted."""
-    return sorted({ChordDiagram(m).canonical()
-                   for m in _matchings(tuple(range(1, 2 * k + 1)))})
+    """Canonical k-chord diagrams up to rotation, sorted.  A matching not
+    yet seen starts a new class, and all the rotations of its canonical
+    diagram are then seen, so each class is canonicalized once."""
+    classes = []
+    seen = set()
+    for m in _matchings(tuple(range(1, 2 * k + 1))):
+        d = ChordDiagram(m)
+        if d not in seen:
+            d = d.canonical()
+            classes.append(d)
+            seen.update(d.rotated(r) for r in range(2 * k))
+    return sorted(classes)
 
 
 def _diagram(chords) -> ChordDiagram:

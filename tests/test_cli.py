@@ -12,7 +12,7 @@ import pytest
 from circlegc import cli
 from circlegc.cli import main
 from circlegc.graphs import ODD, EVEN, DecoratedGraph
-from circlegc.serialize import dumps, graph_to_dict
+from circlegc.serialize import dumps, graph_to_dict, vector_to_dict
 
 
 def run(capsys, *argv):
@@ -172,6 +172,49 @@ def test_failed_enumerate_creates_no_file(tmp_path, capsys):
                  "2", "--degree", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("circlegc: error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--parity", "odd", "--order", "3", "--degree", "1"],
+    ["--parity", "even", "--order", "3", "--degree", "0"],
+    ["--underline", "--order", "2", "--degree", "0"],
+    ["--framed", "--order", "1", "--degree", "3"],
+], ids=["odd", "even", "underline", "framed-empty"])
+def test_cohomology_prints_the_bytes_it_writes(tmp_path, capsys, argv):
+    report = tmp_path / "report.json"
+    code, printed = run(capsys, "cohomology", *argv, "--report", str(report))
+    assert (code, printed) == (0, "")
+    code, printed = run(capsys, "cohomology", *argv)
+    assert code == 0
+    assert printed == report.read_text()
+    data = json.loads(printed)
+    assert len(data["cocycles"]) == data["dim_kernel"]
+
+
+def test_cohomology_writes_each_cocycle_before_the_next_dict(monkeypatch):
+    """Cocycle i's text is in the stream before cocycle i + 1's dict is
+    built, so the report never holds every cocycle's dict at once."""
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    built = []
+
+    def to_dict(v, graph_dict):
+        if built:
+            assert stream.getvalue().endswith(dumps(built[-1]).rstrip())
+        built.append(vector_to_dict(v, graph_dict))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "vector_to_dict", to_dict)
+    assert main(["cohomology", "--order", "3", "--degree", "1"]) == 0
+    assert len(built) == json.loads(stream.getvalue())["dim_kernel"] > 1
+
+
+def test_failed_cohomology_creates_no_file(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["cohomology", "--parity", "even", "--underline", "--order",
+                 "2", "--degree", "0", "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("circlegc: error: ")
+    assert not report.exists()
 
 
 def _chord(**changes):
@@ -534,6 +577,36 @@ def test_order5_enumerate_report_bytes_are_pinned(tmp_path, parity):
                      "--degree", str(m), "--out", str(report)]) == 0
         digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
     assert digests == ORDER5_ENUMERATE_DIGESTS[parity]
+
+
+# SHA-256 of the order-5 cohomology reports at degrees 0, 5, 6 and 7,
+# pinned before the report was written one cocycle at a time; degrees
+# 1..4 take 6-63 s each and stay out of this tier
+ORDER5_COHOMOLOGY_DIGESTS = {
+    "even": {
+        0: "6b1c69f99cc82dac25fd74ce34d75527b6beeb37f33ae8443613f24e974f5ab8",
+        5: "753bc7fe7e4514b6445588e5190816f5561feefc2d096065030da775e1587040",
+        6: "66e0fc7fa6c2b50f6346171576a34406646dc3d4493455d75b2843f832c70fc6",
+        7: "0dd501f599fcf2239e628e72a4a6ea38f08da4886a324d9a538431eec9ebc549",
+    },
+    "odd": {
+        0: "051ecf39438cdc4edf47f80657a9489f2211347424274ac90bb959774470ee44",
+        5: "0559e6c238bdc3e5f10a79466c4a17ecddcc22c3b1c1043bd41ac8db66b01fef",
+        6: "c7b7f18052d1a18fbd2a2dea26a44d904076db5b448a1116114b5e1d9fea8f6d",
+        7: "d463fe081865fc7729e0ebaf0377fb94c84ee5e120bc43e35b49c4c446899d9e",
+    },
+}
+
+
+@pytest.mark.parametrize("parity", sorted(ORDER5_COHOMOLOGY_DIGESTS))
+def test_order5_cohomology_report_bytes_are_pinned(tmp_path, parity):
+    digests = {}
+    for m in ORDER5_COHOMOLOGY_DIGESTS[parity]:
+        report = tmp_path / ("%d.json" % m)
+        assert main(["cohomology", "--parity", parity, "--order", "5",
+                     "--degree", str(m), "--report", str(report)]) == 0
+        digests[m] = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digests == ORDER5_COHOMOLOGY_DIGESTS[parity]
 
 
 def test_cli_import_leaves_numpy_unloaded():

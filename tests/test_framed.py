@@ -67,6 +67,21 @@ def test_framed_delta_squares_to_zero():
             m += 1
 
 
+def test_framed_delta_squares_to_zero_at_order4():
+    """d^2 = 0 on the crossed complex of order 4, as matrices: each
+    degree's matrix composed with the next is zero."""
+    def fb(parity, k, m):
+        return framed_basis(k, m)
+
+    dim_c = [len(framed_basis(4, m)) for m in range(7)]
+    assert dim_c == [105, 300, 357, 210, 57, 5, 0]
+    mats = [delta_matrix(ODD, 4, m, op=delta_framed, basis_fn=fb)
+            for m in range(6)]
+    assert all(not mat.is_zero() for mat in mats[:5])
+    for m in range(5):
+        assert mats[m + 1].compose(mats[m]).is_zero(), m
+
+
 def test_underline_equals_delta_without_short_chords():
     for k in (1, 2, 3):
         for m in _degrees(k):
@@ -153,9 +168,8 @@ def test_cocycles_embed_into_crossed_cohomology():
         rows = []
         for vec in mat.kernel():
             v = GraphVector(parity=ODD)
-            for c, g in zip(vec, mat.col_basis):
-                if c:
-                    v.add_graph(g, c)
+            for j, c in vec.items():
+                v.add_graph(mat.col_basis[j], c)
             img = linear(short_chord_substitution, v)
             assert linear(delta_framed, img).is_zero()
             rows.append({index[g]: c for c, g in img.terms})

@@ -39,14 +39,16 @@ def test_serialization_is_byte_stable():
 @pytest.mark.parametrize("n", [0, 1, 17])
 @pytest.mark.parametrize("key", ["graphs", "a", "zz"])
 def test_write_listing_matches_dumps(n, key):
-    """The streamed listing is the text ``dumps`` gives for the whole
-    payload, whether the list key sorts first, among or after the head."""
+    """The streamed payload is the text ``dumps`` gives for the whole of
+    it, with two list-valued keys, whether the first sorts before, among
+    or after the head, and when it sorts next to the second."""
     items = [graph_to_dict(g) for g in itertools.islice(_all_graphs(), n)]
     head = {"tool": "circlegc", "count": n, "framed": False,
             "version": "0.0", "empty": {}, "nested": {"graphs": []}}
     out = io.StringIO()
-    write_listing(out, head, key, iter(items))
-    assert out.getvalue() == dumps(dict(head, **{key: items}))
+    write_listing(out, head, {key: iter(items), "zzz": reversed(items)})
+    assert out.getvalue() == dumps(dict(head, **{key: items,
+                                                 "zzz": items[::-1]}))
 
 
 def test_schema_fields():

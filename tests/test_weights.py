@@ -159,7 +159,7 @@ def test_underline_cocycles_carry_weighted_chord_diagrams():
         src = basis(ODD, k, 0)
         mat = delta_matrix(ODD, k, 0, op=delta_underline)
         for vec in mat.kernel():
-            diagrams = [g for c, g in zip(vec, src) if c and g.v_int == 0]
+            diagrams = [src[j] for j in vec if src[j].v_int == 0]
             assert diagrams
             for g in diagrams:
                 chords = tuple(tuple(sorted(e)) for e in g.edges)
