@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals for the graph complexes.
 
-Matrices of the coboundary between enumerated bases, kernels and ranks,
-and cohomology dimensions dim H = dim ker - rank of the incoming map.
+Matrices of a coboundary between two bases the caller builds (each
+basis once per walk over the degrees), kernels and ranks, and cohomology
+dimensions dim H = dim ker - rank of the incoming map.
 
 Ranks and kernels come from one sparse exact elimination over Q, run on
 one of two paths.  Either way each column is scaled to a primitive
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .graphs import GraphVector
@@ -200,11 +200,10 @@ class CohomologyReport:
     cocycle_basis: list = field(default_factory=list)
 
 
-def delta_matrix(parity: str, k: int, m: int,
-                 op=delta, basis_fn=basis) -> SparseRationalMatrix:
-    """Matrix of the coboundary from degree m to degree m + 1."""
-    src = basis_fn(parity, k, m)
-    tgt = basis_fn(parity, k, m + 1)
+def delta_matrix(src, tgt, op=delta) -> SparseRationalMatrix:
+    """Matrix of ``op`` from the basis ``src`` to the basis ``tgt``: the
+    coboundary from degree m to degree m + 1 when they are the bases of
+    those degrees.  Every image term must be a graph of ``tgt``."""
     mat = SparseRationalMatrix(tgt, src)
     for j, g in enumerate(src):
         # distinct canonical graphs, nonzero coefficients: one entry each
@@ -216,17 +215,15 @@ def cohomology(parity: str, k: int, m: int,
                op=delta, basis_fn=basis) -> CohomologyReport:
     """Exact cohomology at bidegree (k, m) for the chosen coboundary.
 
-    ``basis_fn`` is memoized for the call, so each of the bases of
-    degrees m - 1, m and m + 1 is built once."""
-    basis_fn = lru_cache(maxsize=None)(basis_fn)
-    out_mat = delta_matrix(parity, k, m, op=op, basis_fn=basis_fn)
-    ker = out_mat.kernel()
+    Each of the bases of degrees m, m + 1 and m - 1 is built once, in
+    that order: the kernel of the outgoing matrix is taken, and that
+    matrix dropped, before the incoming one is built for its rank."""
+    src = basis_fn(parity, k, m)
+    ker = delta_matrix(src, basis_fn(parity, k, m + 1), op=op).kernel()
     # every basis at degree -1 is empty
-    rank_prev = delta_matrix(parity, k, m - 1, op=op,
-                             basis_fn=basis_fn).rank() if m > 0 else 0
-    src = out_mat.col_basis
+    rank_prev = delta_matrix(basis_fn(parity, k, m - 1), src,
+                             op=op).rank() if m > 0 else 0
     cocycles = [GraphVector.from_canonical(
         {src[c]: v for c, v in vec.items()}, parity) for vec in ker]
     return CohomologyReport(parity, k, m, len(ker), rank_prev,
                             len(ker) - rank_prev, src, cocycles)
-

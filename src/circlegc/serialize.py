@@ -101,8 +101,9 @@ def graph_to_dict(g: DecoratedGraph) -> dict:
 
 def graph_from_dict(data: dict) -> DecoratedGraph:
     """The graph a JSON object describes; ``ValueError`` when a key is
-    missing, a count, label or endpoint is not an integer in range, or a
-    loop flag is unknown.  Whether the graph is well formed (valences,
+    missing, a count, label or endpoint is not an integer in range, a
+    loop flag is unknown, or there are too few edge ends and crosses for
+    the vertices.  Whether the graph is well formed (valences,
     connectivity) is left to ``graphs.validate``, and whether it is zero
     (multiple edges among others) to ``graphs.is_zero_by_relations``."""
     parity = _field(data, "parity")
@@ -138,6 +139,12 @@ def graph_from_dict(data: dict) -> DecoratedGraph:
     crosses = tuple(_int(_field(c, "vertex"), "cross vertex", 1, n)
                     for _, c in sorted(zip(labels, raw_crosses),
                                        key=lambda p: p[0]))
+    # three edge ends per internal vertex, an end or a cross per external
+    ends = 2 * (len(edges) + len(loops))
+    if 3 * v_int > ends or v_ext > ends + len(crosses):
+        raise ValueError("%d edge ends and %d crosses cannot meet %d "
+                         "external and %d internal vertices"
+                         % (ends, len(crosses), v_ext, v_int))
     return DecoratedGraph(parity, v_ext, v_int, tuple(edges), loops, crosses)
 
 

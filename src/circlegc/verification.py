@@ -32,8 +32,10 @@ MAX_ORDER = 3
 def _bases(basis_fn, k: int) -> dict:
     """The nonempty bases ``basis_fn(k, m)`` at order k, by degree m.
 
-    Every basis is built once, up to the first empty one above degree
-    2k, where the complex has ended."""
+    The one walk over the degrees of a complex: every basis is built
+    once, up to the first empty one above degree 2k, where the complex
+    has ended.  The coboundary out of degree m is then
+    ``delta_matrix(bases[m], bases.get(m + 1, []))``."""
     out = {}
     m = 0
     while True:
@@ -51,8 +53,9 @@ def criterion_dsquared() -> dict:
     application at odd order 4.
 
     Each basis is built once per (parity, k), and each matrix once per
-    (parity, k, m) from those bases and composed with both of its
-    neighbours.  The direct check maps every graph through a memo of
+    (parity, k, m) from those bases and composed with the one before it;
+    where degree m + 1 has no basis, the matrix out of m has no rows and
+    its square is zero.  The direct check maps every graph through a memo of
     ``delta`` local to this call, so a graph met as a source and again
     as an image term is mapped once; the memo goes when the criterion
     returns, and its vectors are only read."""
@@ -61,20 +64,12 @@ def criterion_dsquared() -> dict:
     for parity in (ODD, EVEN):
         for k in range(1, MAX_ORDER + 1):
             bases = _bases(partial(basis, parity), k)
-
-            def known(_parity, _k, d):
-                return bases.get(d, [])
-
-            mats = {}
             for m in bases:
-                for d in (m, m + 1):
-                    if d not in mats:
-                        mats[d] = delta_matrix(parity, k, d, op=delta,
-                                               basis_fn=known)
-                sq = mats[m + 1].compose(mats[m])
+                mat = delta_matrix(bases[m], bases.get(m + 1, []), op=delta)
                 checked += 1
-                if not sq.is_zero():
-                    failures.append([parity, k, m])
+                if m - 1 in bases and not mat.compose(prev).is_zero():
+                    failures.append([parity, k, m - 1])
+                prev = mat
     direct4 = 0
     image = lru_cache(maxsize=None)(delta)
     for m, b in _bases(partial(basis, ODD), 4).items():

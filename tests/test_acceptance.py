@@ -15,7 +15,7 @@ import pytest
 
 from circlegc import verification as vf
 from circlegc.enumeration import basis, framed_basis
-from circlegc.graphs import ODD, canonical_form
+from circlegc.graphs import ODD, EVEN, canonical_form
 
 
 def _report(num, result):
@@ -131,6 +131,22 @@ def test_dsquared_criterion_fails_on_a_broken_delta(monkeypatch, k):
     result = vf.criterion_dsquared()
     assert not result["passed"]
     assert [ODD, k, 0] in result["detail"]["failures"]
+
+
+def test_dsquared_criterion_builds_each_basis_once(monkeypatch):
+    """One walk per complex: each (parity, k, m) basis the criterion reads,
+    through the first empty degree above 2k, is built exactly once."""
+    calls = []
+
+    def counting_basis(parity, k, m):
+        calls.append((parity, k, m))
+        return basis(parity, k, m)
+
+    monkeypatch.setattr(vf, "basis", counting_basis)
+    assert vf.criterion_dsquared()["passed"]
+    walks = [(p, k) for p in (ODD, EVEN) for k in (1, 2, 3)] + [(ODD, 4)]
+    assert sorted(calls) == sorted((p, k, m) for p, k in walks
+                                   for m in range(2 * k + 2))
 
 
 @pytest.mark.parametrize("name, sources, check", [

@@ -271,6 +271,28 @@ def test_malformed_graph_exits_2_with_message(tmp_path, capsys, argv):
                                 "vertex %d has valence 2 < 3\n" % vertex)
 
 
+@pytest.mark.parametrize("argv", [["delta", "--in"],
+                                  ["faces", "--n", "5", "--audit"],
+                                  ["export-dot", "--in"]],
+                         ids=["delta", "faces", "export-dot"])
+@pytest.mark.parametrize("changes", [{"v_int": 10 ** 13},
+                                     {"v_int": 200000},
+                                     {"v_ext": 10 ** 13}],
+                         ids=["v_int-huge", "v_int-large", "v_ext-huge"])
+def test_oversized_vertex_counts_exit_2_with_one_line(tmp_path, capsys,
+                                                      argv, changes):
+    """Counts no edge set of the graph can meet are refused before any
+    per-vertex work, in one short line."""
+    gfile = tmp_path / "g.json"
+    gfile.write_text(_chord(**changes))
+    assert main(argv + [str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("circlegc: error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    assert "Traceback" not in captured.err
+
+
 # well-formed graphs that are zero by the relations
 ZERO_GRAPHS = {
     "doubled-chord": DecoratedGraph(ODD, 2, 0, ((1, 2), (1, 2))),

@@ -2,6 +2,7 @@
 map between them."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -13,20 +14,9 @@ from circlegc.homology import _rank, cohomology, delta_matrix
 from circlegc.framed import (delta_framed, delta_underline,
                              delta_underline_vector,
                              short_chord_substitution)
+from circlegc.verification import _bases
 
 from conftest import decorated_variant, order
-
-
-def _degrees(k):
-    out = []
-    m = 0
-    while True:
-        if basis(ODD, k, m):
-            out.append(m)
-        elif m > 2 * k:
-            break
-        m += 1
-    return out
 
 
 def test_bare_cross_maps_to_loop_graph():
@@ -57,25 +47,18 @@ def test_cross_deletion_sign():
 
 def test_framed_delta_squares_to_zero():
     for k in (1, 2, 3):
-        m = 0
-        while True:
-            fb = framed_basis(k, m)
-            if not fb and m > 2 * k:
-                break
+        for fb in _bases(framed_basis, k).values():
             for g in fb:
                 assert linear(delta_framed, delta_framed(g)).is_zero()
-            m += 1
 
 
 def test_framed_delta_squares_to_zero_at_order4():
     """d^2 = 0 on the crossed complex of order 4, as matrices: each
     degree's matrix composed with the next is zero."""
-    def fb(parity, k, m):
-        return framed_basis(k, m)
-
-    dim_c = [len(framed_basis(4, m)) for m in range(7)]
-    assert dim_c == [105, 300, 357, 210, 57, 5, 0]
-    mats = [delta_matrix(ODD, 4, m, op=delta_framed, basis_fn=fb)
+    bases = _bases(framed_basis, 4)
+    assert [len(bases.get(m, [])) for m in range(7)] == \
+        [105, 300, 357, 210, 57, 5, 0]
+    mats = [delta_matrix(bases[m], bases.get(m + 1, []), op=delta_framed)
             for m in range(6)]
     assert all(not mat.is_zero() for mat in mats[:5])
     for m in range(5):
@@ -84,8 +67,8 @@ def test_framed_delta_squares_to_zero_at_order4():
 
 def test_underline_equals_delta_without_short_chords():
     for k in (1, 2, 3):
-        for m in _degrees(k):
-            for g in basis(ODD, k, m):
+        for b in _bases(partial(basis, ODD), k).values():
+            for g in b:
                 if not g.short_chords():
                     assert delta_underline(g) == delta(g)
 
@@ -103,8 +86,8 @@ def test_underline_on_single_chord():
 
 def test_underline_squares_to_zero():
     for k in (1, 2, 3):
-        for m in _degrees(k):
-            for g in basis(ODD, k, m):
+        for b in _bases(partial(basis, ODD), k).values():
+            for g in b:
                 assert delta_underline_vector(
                     delta_underline(g)).is_zero()
 
@@ -129,8 +112,8 @@ def test_substitution_rejects_crossed_graphs():
 
 def test_chain_map():
     for k in (1, 2, 3):
-        for m in _degrees(k):
-            for g in basis(ODD, k, m):
+        for b in _bases(partial(basis, ODD), k).values():
+            for g in b:
                 lhs = linear(short_chord_substitution, delta_underline(g))
                 rhs = linear(delta_framed, short_chord_substitution(g))
                 assert lhs == rhs, g
@@ -138,8 +121,8 @@ def test_chain_map():
 
 def test_substitution_order_independence():
     for k in (2, 3):
-        for m in _degrees(k):
-            for g in basis(ODD, k, m):
+        for b in _bases(partial(basis, ODD), k).values():
+            for g in b:
                 chords = g.short_chords()
                 if len(chords) < 2:
                     continue
@@ -162,7 +145,7 @@ def test_framed_delta_respects_decoration_classes():
 def test_cocycles_embed_into_crossed_cohomology():
     # degree-0 delta cocycles map to independent crossed cocycles
     for k in (2, 3):
-        mat = delta_matrix(ODD, k, 0)
+        mat = delta_matrix(basis(ODD, k, 0), basis(ODD, k, 1))
         fb = framed_basis(k, 0)
         index = {g: i for i, g in enumerate(fb)}
         rows = []

@@ -1,6 +1,7 @@
 """Exact linear algebra and cohomology dimensions."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlegc.graphs import ODD, EVEN, DecoratedGraph, GraphVector
-from circlegc.coboundary import delta_vector
+from circlegc import enumeration
+from circlegc.coboundary import delta, delta_vector
 from circlegc.enumeration import basis
 from circlegc.homology import _kernel, _rank, cohomology, delta_matrix
 from circlegc.cocycles import (order2_cocycle, order3_cocycle_even,
                                order3_cocycle_odd)
 from circlegc.framed import delta_underline
 from circlegc.weights import a_space_dim
-from circlegc.verification import _chord_part_rank
+from circlegc.verification import _bases, _chord_part_rank
 
 def _dense_rank(rows, ncols) -> int:
     """Reference: dense Gaussian elimination on Fractions (mutates rows)."""
@@ -156,8 +158,9 @@ def test_elimination_equals_dense_reference(matrix):
 
 def test_delta_matrix_kernel_and_rank_equal_dense_reference():
     for parity in (ODD, EVEN):
-        for m in range(7):
-            mat = delta_matrix(parity, 3, m)
+        bases = _bases(partial(basis, parity), 3)
+        for m in bases:
+            mat = delta_matrix(bases[m], bases.get(m + 1, []))
             nr, nc = mat.shape
             dense = [[mat.columns[j].get(i, 0) for j in range(nc)]
                      for i in range(nr)]
@@ -232,42 +235,68 @@ def test_order5_degree0_pinned_to_chord_diagram_dimensions():
     assert a_space_dim(5) == 10
 
 
+def _ranks_squaring_to_zero(bases, op):
+    """The ranks of the matrices of ``op`` out of degrees 0..max(bases),
+    built from the walked ``bases`` one at a time, after asserting that
+    each composed with the one before it is zero."""
+    ranks = []
+    prev = None
+    for m in range(max(bases) + 1):
+        mat = delta_matrix(bases.get(m, []), bases.get(m + 1, []), op=op)
+        if prev is not None:
+            assert mat.compose(prev).is_zero(), m - 1
+        ranks.append(mat.rank())
+        prev = mat
+    return ranks
+
+
 # dim C^{5,m}, rank of the coboundary out of degree m, and dim H^{5,m} for
-# m = 0..7; the complex is zero above.
+# m = 0..7; the complex is zero above.  The odd bases also carry the
+# short-chord-free coboundary, with its own ranks and cohomology.
 ORDER5_DIM_C = {ODD: [589, 2343, 4014, 3704, 1910, 524, 63, 2],
                 EVEN: [551, 2347, 4093, 3707, 1861, 517, 70, 2]}
 ORDER5_RANK = {ODD: [585, 1758, 2256, 1447, 463, 61, 2, 0],
                EVEN: [548, 1798, 2294, 1412, 449, 68, 2, 0]}
 ORDER5_DIM_H = {ODD: [4, 0, 0, 1, 0, 0, 0, 0],
                 EVEN: [3, 1, 1, 1, 0, 0, 0, 0]}
+ORDER5_UNDERLINE_RANK = [579, 1752, 2254, 1446, 462, 61, 2, 0]
+ORDER5_UNDERLINE_DIM_H = [10, 12, 8, 4, 2, 1, 0, 0]
 
 
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_order5_delta_squares_to_zero(parity):
-    """d^2 = 0 on every bidegree of order 5: one matrix per degree, each
-    composed with the next.  The same matrices give the whole order-5
-    table, whose Euler characteristic is that of the chain groups."""
-    dim_c = [len(basis(parity, 5, m)) for m in range(8)]
+    """d^2 = 0 on every bidegree of order 5: one walk over the bases, one
+    matrix per degree, each composed with the next.  The same matrices
+    give the whole order-5 table, whose Euler characteristic is that of
+    the chain groups.  In the odd case the same bases give the
+    short-chord-free table too, whose H^{5,0} is dim A_5 = 10."""
+    bases = _bases(partial(basis, parity), 5)
+    dim_c = [len(bases.get(m, [])) for m in range(8)]
     assert dim_c == ORDER5_DIM_C[parity]
-    assert not basis(parity, 5, 8)
-    mats = [delta_matrix(parity, 5, m) for m in range(8)]
-    for m in range(7):
-        assert mats[m + 1].compose(mats[m]).is_zero(), m
-    ranks = [mat.rank() for mat in mats]
-    assert ranks == ORDER5_RANK[parity]
-    dim_h = [c - r - prev for c, r, prev in zip(dim_c, ranks, [0] + ranks)]
-    assert dim_h == ORDER5_DIM_H[parity]
+    assert max(bases) == 7
     euler = sum((-1) ** m * d for m, d in enumerate(dim_c))
-    assert euler == sum((-1) ** m * d for m, d in enumerate(dim_h))
     assert euler == {ODD: 3, EVEN: 2}[parity]
+    tables = [(delta, ORDER5_RANK[parity], ORDER5_DIM_H[parity])]
+    if parity == ODD:
+        tables.append((delta_underline, ORDER5_UNDERLINE_RANK,
+                       ORDER5_UNDERLINE_DIM_H))
+        assert ORDER5_UNDERLINE_DIM_H[0] == a_space_dim(5)
+    for op, want_ranks, want_dim_h in tables:
+        ranks = _ranks_squaring_to_zero(bases, op)
+        assert ranks == want_ranks
+        dim_h = [c - r - prev
+                 for c, r, prev in zip(dim_c, ranks, [0] + ranks)]
+        assert dim_h == want_dim_h
+        assert euler == sum((-1) ** m * d for m, d in enumerate(dim_h))
 
 
 @pytest.mark.parametrize("parity", [ODD, EVEN])
 def test_rank_only_path_agrees_with_kernel_on_order4(parity):
     """The sparsest-first rank and the column-order kernel eliminate every
     order-4 matrix independently; they must agree on its rank."""
-    for m in range(6):
-        mat = delta_matrix(parity, 4, m)
+    bases = _bases(partial(basis, parity), 4)
+    for m in bases:
+        mat = delta_matrix(bases[m], bases.get(m + 1, []))
         rows, n = mat._rows(), mat.shape[1]
         assert _rank(rows, n) == n - len(_kernel(rows, n)), m
 
@@ -288,18 +317,28 @@ def test_cohomology_builds_each_basis_once(parity):
 def test_delta_matrix_squares_to_zero():
     for parity in (ODD, EVEN):
         for k in (1, 2, 3):
-            for m in (0, 1, 2):
-                sq = delta_matrix(parity, k, m + 1).compose(
-                    delta_matrix(parity, k, m))
-                assert sq.is_zero()
+            _ranks_squaring_to_zero(_bases(partial(basis, parity), k), delta)
+
+
+def test_delta_matrix_builds_no_basis(monkeypatch):
+    """The matrix is built from the two bases it is given alone."""
+    src, tgt = basis(ODD, 3, 0), basis(ODD, 3, 1)
+
+    def refuse(*args):
+        raise AssertionError("delta_matrix enumerated a basis")
+
+    monkeypatch.setattr(enumeration, "_classes", refuse)
+    mat = delta_matrix(src, tgt)
+    assert (mat.col_basis, mat.row_basis) == (src, tgt)
+    assert mat.rank() == 9
 
 
 def test_delta_matrix_odd_1_0_nonzero():
-    assert not delta_matrix(ODD, 1, 0).is_zero()
+    assert not delta_matrix(basis(ODD, 1, 0), basis(ODD, 1, 1)).is_zero()
 
 
 def test_delta_matrix_even_1_0_empty_source():
-    assert delta_matrix(EVEN, 1, 0).shape[1] == 0
+    assert delta_matrix(basis(EVEN, 1, 0), basis(EVEN, 1, 1)).shape[1] == 0
 
 
 def test_h10_vanishes():
@@ -332,7 +371,7 @@ def test_kernel_vectors_are_exactly_closed():
 
 
 def test_compose_basis_mismatch_raises():
-    a = delta_matrix(ODD, 2, 0)
-    b = delta_matrix(ODD, 3, 0)
+    a = delta_matrix(basis(ODD, 2, 0), basis(ODD, 2, 1))
+    b = delta_matrix(basis(ODD, 3, 0), basis(ODD, 3, 1))
     with pytest.raises(ValueError):
         a.compose(b)

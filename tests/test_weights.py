@@ -157,7 +157,7 @@ def test_underline_cocycles_carry_weighted_chord_diagrams():
     # and all gl(N) weights are nonzero monomials
     for k in (2, 3):
         src = basis(ODD, k, 0)
-        mat = delta_matrix(ODD, k, 0, op=delta_underline)
+        mat = delta_matrix(src, basis(ODD, k, 1), op=delta_underline)
         for vec in mat.kernel():
             diagrams = [src[j] for j in vec if src[j].v_int == 0]
             assert diagrams
