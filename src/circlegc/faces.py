@@ -26,8 +26,9 @@ with one or two induced edges, forces the integral to vanish) and a
 degree count on what is left.  The degree count is strict for n > 3; for
 n = 3 the type III bound can be met with equality, and such faces are
 reported as unresolved rather than silently dropped.  An optional flag
-handles parameter-dependent forms, where the thresholds rise by one and
-the same gap appears at n = 4 instead.
+handles parameter-dependent forms, where the thresholds rise by one: the
+type III bound then leaves r + s = 3 faces non-strict at n = 4 and
+n = 5 (and r + s = 4 faces at n = 4), and is strict from n = 6 on.
 """
 
 from __future__ import annotations
@@ -242,8 +243,8 @@ def classify_subgraph(sg: AdmissibleSubgraph,
     Principal subgraphs either contribute a coboundary term or vanish by
     the degree count.  Hidden ones are killed by one of the valence
     lemmas or by the degree bound; when the bound is not strict (type
-    III at n = 3, or at n = 4 with ``extended``) the verdict is
-    ``Unresolved``.
+    III at n = 3, or with ``extended`` r + s = 3 at n = 4 and 5 and
+    r + s = 4 at n = 4) the verdict is ``Unresolved``.
     """
     fd = sg.descriptor
     if is_principal(fd):
@@ -289,9 +290,10 @@ def audit_graph(g: DecoratedGraph, n: int,
                 extended: bool = False) -> FaceAuditReport:
     """Sweep all faces of g: check that the principal contributions are
     exactly the contraction sites of the coboundary and that every
-    hidden face vanishes.  At n = 3 (or n = 4 with ``extended``) the
-    type III faces whose degree bound is met with equality are listed as
-    unresolved instead of failing.
+    hidden face vanishes.  The type III faces whose degree bound is not
+    strict are listed as unresolved instead of failing: all of them at
+    n = 3, and with ``extended`` those with r + s = 3 at n = 4 and 5 and
+    r + s = 4 at n = 4.
     """
     if n < 3:
         raise ValueError("ambient dimension must be at least 3")

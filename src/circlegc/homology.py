@@ -4,6 +4,11 @@ Matrices of a coboundary between two bases the caller builds (each
 basis once per walk over the degrees), kernels and ranks, and cohomology
 dimensions dim H = dim ker - rank of the incoming map.
 
+A matrix has one layout: its columns, one sparse ``{row: value}`` map
+per source basis graph, and its row count.  Only its rank and its
+kernel are read, so there is no row copy and no matrix product: d^2 = 0
+is checked graph by graph (``verification.criterion_dsquared``).
+
 Ranks and kernels come from one sparse exact elimination over Q, run on
 one of two paths.  Either way each column is scaled to a primitive
 integer vector and reduced against the pivot vectors found so far, kept
@@ -39,57 +44,24 @@ from .coboundary import delta
 from .enumeration import basis
 
 
+@dataclass
 class SparseRationalMatrix:
-    """Column-sparse exact matrix indexed by canonical basis lists.
-
-    Entry (i, j) is the coefficient of row basis graph i in the image of
-    column basis graph j.
-    """
-
-    def __init__(self, row_basis, col_basis):
-        self.row_basis = list(row_basis)
-        self.col_basis = list(col_basis)
-        self.row_index = {g: i for i, g in enumerate(self.row_basis)}
-        self.columns = [dict() for _ in self.col_basis]
+    """Column-sparse exact matrix with ``nrows`` rows: ``columns[j]`` maps
+    each row index i to the nonzero entry (i, j)."""
+    columns: list
+    nrows: int
 
     @property
     def shape(self):
-        return (len(self.row_basis), len(self.col_basis))
-
-    def compose(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        """self @ other; other's row basis must be self's column basis."""
-        if other.row_basis != self.col_basis:
-            raise ValueError("basis mismatch in composition")
-        out = SparseRationalMatrix(self.row_basis, other.col_basis)
-        for j, col in enumerate(other.columns):
-            acc = {}
-            for mid, v in col.items():
-                for i, w in self.columns[mid].items():
-                    acc[i] = acc.get(i, Fraction(0)) + v * w
-            for i, v in acc.items():
-                if v:
-                    out.columns[j][i] = v
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not col for col in self.columns)
-
-    def _rows(self):
-        """Row-sparse copy: one {col: value} map per row basis graph."""
-        rows = [{} for _ in self.row_basis]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
+        return (self.nrows, len(self.columns))
 
     def rank(self) -> int:
-        return _rank(self._rows(), len(self.col_basis))
+        return _rank(self.columns, self.nrows)
 
     def kernel(self):
-        """Kernel basis as sparse ``{column: Fraction}`` maps over
-        col_basis, normalized so the first nonzero coefficient of each
-        vector is +1."""
-        return _kernel(self._rows(), len(self.col_basis))
+        """Kernel basis as sparse ``{column: Fraction}`` maps, normalized
+        so the first nonzero coefficient of each vector is +1."""
+        return _kernel(self.columns, self.nrows)
 
 
 def _combine(a, x, b, y):
@@ -104,13 +76,13 @@ def _combine(a, x, b, y):
     return out
 
 
-def _eliminate(rows, ncols, with_kernel):
+def _eliminate(cols, with_kernel):
     """Sparse exact column elimination.
 
-    ``rows`` holds one {col: value} map per row, zero values allowed.
-    Each column is scaled to a primitive integer vector and reduced
-    against the pivot vectors found so far.  A column that keeps a
-    nonzero entry becomes a pivot, on the entry whose row meets the
+    ``cols`` holds one {row: value} map per column; a zero value is
+    dropped.  Each column is scaled to a primitive integer vector and
+    reduced against the pivot vectors found so far.  A column that keeps
+    a nonzero entry becomes a pivot, on the entry whose row meets the
     fewest columns.
 
     With ``with_kernel`` the columns go left to right, each carrying the
@@ -121,11 +93,6 @@ def _eliminate(rows, ncols, with_kernel):
     earlier pivot columns.  Without, the columns go sparsest first,
     carry nothing, and the rank is returned.
     """
-    cols = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            if v:
-                cols[j][i] = v
     meets = {}
     for col in cols:
         for i in col:
@@ -135,12 +102,12 @@ def _eliminate(rows, ncols, with_kernel):
     pivot_of = {}        # pivot row -> index into pivots
     kernel = []
     comb = None
-    for j in (range(ncols) if with_kernel
-              else sorted(range(ncols), key=lambda c: len(cols[c]))):
+    for j in (range(len(cols)) if with_kernel
+              else sorted(range(len(cols)), key=lambda c: len(cols[c]))):
         col = cols[j]
         den = lcm(*(v.denominator for v in col.values()))
         vec = {i: v.numerator * (den // v.denominator)
-               for i, v in col.items()}
+               for i, v in col.items() if v}
         g = gcd(*vec.values()) or 1
         vec = {i: v // g for i, v in vec.items()}
         if with_kernel:
@@ -180,12 +147,14 @@ def _eliminate(rows, ncols, with_kernel):
     return kernel if with_kernel else len(pivots)
 
 
-def _rank(rows, ncols) -> int:
-    return _eliminate(rows, ncols, False)
+# ``nrows`` is the matrix's row count: the elimination reads only the
+# columns, but perfbench meters each call's cells as len(cols) * nrows
+def _rank(cols, nrows) -> int:
+    return _eliminate(cols, False)
 
 
-def _kernel(rows, ncols):
-    return _eliminate(rows, ncols, True)
+def _kernel(cols, nrows):
+    return _eliminate(cols, True)
 
 
 @dataclass
@@ -204,11 +173,10 @@ def delta_matrix(src, tgt, op=delta) -> SparseRationalMatrix:
     """Matrix of ``op`` from the basis ``src`` to the basis ``tgt``: the
     coboundary from degree m to degree m + 1 when they are the bases of
     those degrees.  Every image term must be a graph of ``tgt``."""
-    mat = SparseRationalMatrix(tgt, src)
-    for j, g in enumerate(src):
-        # distinct canonical graphs, nonzero coefficients: one entry each
-        mat.columns[j] = {mat.row_index[h]: c for h, c in op(g).items()}
-    return mat
+    index = {g: i for i, g in enumerate(tgt)}
+    # distinct canonical graphs, nonzero coefficients: one entry each
+    return SparseRationalMatrix(
+        [{index[h]: c for h, c in op(g).items()} for g in src], len(tgt))
 
 
 def cohomology(parity: str, k: int, m: int,

@@ -18,6 +18,8 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
+from .homology import _rank
+
 
 # ----------------------------------------------------------------------
 # chord diagrams
@@ -255,7 +257,8 @@ def a_space_dim(k: int) -> int:
     basis = chord_diagram_basis(k)
     index = {d.rotated(r): i for i, d in enumerate(basis)
              for r in range(2 * k)}
-    rows = []
+    cols = [{} for _ in basis]       # diagram -> {relation: entry}
+    nrel = 0
     for expansions in _stu_expansions(k):
         vecs = []
         for expansion in expansions:
@@ -264,9 +267,10 @@ def a_space_dim(k: int) -> int:
                 i = index[d]
                 vec[i] = vec.get(i, 0) + s
             vecs.append(vec)
-        # zero entries, and so empty rows, are dropped by the elimination
         for x, y in itertools.combinations(vecs, 2):
-            rows.append({i: x.get(i, 0) - y.get(i, 0)
-                         for i in x.keys() | y.keys()})
-    from .homology import _rank
-    return len(basis) - _rank(rows, len(basis))
+            for i in x.keys() | y.keys():
+                v = x.get(i, 0) - y.get(i, 0)
+                if v:
+                    cols[i][nrel] = v
+            nrel += 1
+    return len(basis) - _rank(cols, nrel)

@@ -125,8 +125,8 @@ def _break_one_image(monkeypatch, name, sources):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_dsquared_criterion_fails_on_a_broken_delta(monkeypatch, k):
-    """Order 3 goes through the composed matrices, order 4 through the
-    direct double application and its memo: both see the broken image."""
+    """Every graph is mapped twice through the criterion's memo, at
+    order 3 as at order 4: both see the broken image."""
     _break_one_image(monkeypatch, "delta", basis(ODD, k, 0))
     result = vf.criterion_dsquared()
     assert not result["passed"]

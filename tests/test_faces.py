@@ -88,6 +88,23 @@ def test_extended_thresholds():
     assert not degree_lower_bound(fd) > vanishing_threshold(fd,
                                                             extended=True)
 
+    def weak(n):
+        """The r + s of the hidden type III faces in dimension n whose
+        extended bound is not strict."""
+        faces = [FaceDescriptor(TYPE_III, r, s, n)
+                 for r in range(1, 11) for s in range(11 - r) if r + s >= 3]
+        return sorted({fd.r + fd.s for fd in faces
+                       if not degree_lower_bound(fd)
+                       > vanishing_threshold(fd, extended=True)})
+
+    # r + s = 3 stays non-strict at n = 5, met with equality; all faces
+    # are strict from n = 6 on
+    assert weak(4) == [3, 4]
+    assert weak(5) == [3]
+    fd5 = FaceDescriptor(TYPE_III, 2, 1, 5)
+    assert degree_lower_bound(fd5) == vanishing_threshold(fd5, extended=True)
+    assert weak(6) == []
+
 
 def test_classify_bivalent_internal():
     # in the triangle graph the three internal vertices form a hidden
