@@ -105,7 +105,7 @@ def cmd_cohomology(args):
     _check_complex(args)
     if args.framed:
         rep = cohomology(ODD, args.order, args.degree, op=delta_framed,
-                         basis_fn=lambda parity, k, m: framed_basis(k, m))
+                         basis_fn=framed_basis)
     elif args.underline:
         rep = cohomology(ODD, args.order, args.degree, op=delta_underline)
     else:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, AGAINST_ORDER,
                      DecoratedGraph, GraphVector, canonical_form, degree,
-                     is_zero_by_relations, linear)
+                     edge_pair, is_zero_by_relations, linear)
 
 
 class ContractionSite(NamedTuple):
@@ -58,17 +58,15 @@ def contraction_sites(g: DecoratedGraph):
     return sites
 
 
-def _merge_map(i: int, j: int):
+def _merge_labels(n: int, i: int, j: int) -> list:
+    """``new[v]``, for v in 0..n: the label of vertex v once vertices i
+    and j merge into min(i, j) and every label above max(i, j) drops by
+    one."""
     lo, hi = min(i, j), max(i, j)
-
-    def remap(v: int) -> int:
-        if v == hi:
-            return lo
-        if v > hi:
-            return v - 1
-        return v
-
-    return remap
+    new = list(range(n + 1))
+    new[hi] = lo
+    new[hi + 1:] = range(hi, n)
+    return new
 
 
 def _sigma(i: int, j: int) -> int:
@@ -81,6 +79,8 @@ def contract_raw(g: DecoratedGraph, site: ContractionSite):
 
     Returns ``(sign, graph)``; the graph may still be zero by the multiple
     edge relation.  Raises on chords, small loops, or invalid sites.
+    ``g`` must be well formed (``graphs.validate``): its labels index the
+    relabelling.
     """
     if site.kind == "edge":
         return _contract_edge(g, site.index)
@@ -97,18 +97,18 @@ def _contract_edge(g: DecoratedGraph, idx: int):
         raise ValueError("cannot contract a small loop")
     if g.is_external(a) and g.is_external(b):
         raise ValueError("cannot contract a chord")
-    remap = _merge_map(a, b)
-    edges = [(remap(x), remap(y)) for k, (x, y) in enumerate(g.edges)
-             if k != idx]
-    loops = tuple((remap(v), of, af) for v, of, af in g.loops)
-    crosses = tuple(remap(v) for v in g.crosses)
+    new = _merge_labels(g.num_vertices, a, b)
+    edges = tuple([edge_pair(new[x], new[y])
+                   for k, (x, y) in enumerate(g.edges) if k != idx])
+    loops = tuple([(new[v], of, af) for v, of, af in g.loops])
+    crosses = tuple([new[v] for v in g.crosses])
     if g.parity == ODD:
         sign = _sigma(a, b)
     else:
         alpha = idx + 1
         sign = (-1) ** (alpha + 1 + g.v_ext)
-    out = DecoratedGraph(g.parity, g.v_ext, g.v_int - 1, tuple(edges),
-                         loops, crosses)
+    out = DecoratedGraph(g.parity, g.v_ext, g.v_int - 1, edges, loops,
+                         crosses)
     return sign, out
 
 
@@ -119,11 +119,11 @@ def _contract_arc(g: DecoratedGraph, start: int):
         raise ValueError("arc index out of range")
     i = start
     j = 1 if i == g.v_ext else i + 1
-    remap = _merge_map(i, j)
+    new = _merge_labels(g.num_vertices, i, j)
     sign = _sigma(i, j)
     chord = ((i, j), (j, i))
     edges = []
-    loops = list((remap(v), of, af) for v, of, af in g.loops)
+    loops = [(new[v], of, af) for v, of, af in g.loops]
     for e in g.edges:
         a, b = e
         if e in chord:
@@ -132,12 +132,12 @@ def _contract_arc(g: DecoratedGraph, start: int):
             # with the circle orientation, is the end at vertex i.
             if g.parity == ODD:
                 arrow = WITH_ORDER if a == i else AGAINST_ORDER
-                loops.append((remap(i), WITH_CIRCLE, arrow))
+                loops.append((new[i], WITH_CIRCLE, arrow))
             else:
-                edges.append((remap(i), remap(i)))
+                edges.append(edge_pair(new[i], new[i]))
         else:
-            edges.append((remap(a), remap(b)))
-    crosses = tuple(remap(v) for v in g.crosses)
+            edges.append(edge_pair(new[a], new[b]))
+    crosses = tuple([new[v] for v in g.crosses])
     out = DecoratedGraph(g.parity, g.v_ext - 1, g.v_int, tuple(edges),
                          tuple(loops), crosses)
     return sign, out

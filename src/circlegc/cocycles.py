@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import ODD, EVEN, DecoratedGraph, GraphVector
+from .graphs import ODD, EVEN, DecoratedGraph, GraphVector, edge_pair
 
 
 def _vec(parity, terms):
     out = GraphVector(parity=parity)
     for coeff, v_ext, v_int, edges in terms:
-        g = DecoratedGraph(parity, v_ext, v_int, tuple(edges))
+        g = DecoratedGraph(parity, v_ext, v_int,
+                           tuple([edge_pair(a, b) for a, b in edges]))
         out.add_graph(g, Fraction(*coeff))
     return out
 

@@ -65,7 +65,7 @@ from functools import lru_cache
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
                      _connected, _external_rows, _lead_row, _pair_bits,
-                     canonical_form)
+                     canonical_form, edge_pair)
 
 
 def _rotations_lose(v_ext: int, mask: list, nbrs: list, pairs) -> bool:
@@ -103,12 +103,13 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
     slack = 2 * e - sum(min_val)
     if slack < 0:
         return []
+    # the shared pairs of ``graphs``, which every shape and graph reuses
     pool = []
     for a in range(1, nv + 1):
         if a <= v_ext:
-            pool.append((a, a))
+            pool.append(edge_pair(a, a))
         for b in range(a + 1, nv + 1):
-            pool.append((a, b))
+            pool.append(edge_pair(a, b))
     out = []
     val = [0] * (nv + 1)
     mask = [0] * (nv + 1)                # external masks, for (a) and (b)
@@ -170,7 +171,7 @@ def _underlying_shapes(v_ext: int, v_int: int, e: int, min_val: tuple):
                     excess += 1
                 val[v] += 1
             if excess <= slack:
-                chosen.append((a, b))
+                chosen.append(pool[j])
                 if a <= v_ext:
                     nbrs[a].append(b)
                     if a < b <= v_ext:
@@ -203,7 +204,7 @@ def _decorate(parity: str, v_ext: int, v_int: int, shape,
     """One fixed decoration of a shape; the canonical form supplies the
     rest of the orbit."""
     if parity == ODD:
-        edges = tuple((a, b) for a, b in shape if a != b)
+        edges = tuple([p for p in shape if p[0] != p[1]])
         loops = tuple((a, WITH_CIRCLE, WITH_ORDER)
                       for a, b in shape if a == b)
         return DecoratedGraph(ODD, v_ext, v_int, edges, loops,

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import (ODD, DecoratedGraph, GraphVector, is_zero_by_relations,
-                     linear, perm_sign)
-from .coboundary import (_add_term, _coboundary, _merge_map, _sigma,
+from .graphs import (ODD, DecoratedGraph, GraphVector, edge_pair,
+                     is_zero_by_relations, linear, perm_sign)
+from .coboundary import (_add_term, _coboundary, _merge_labels, _sigma,
                          orientation_sign)
 
 
@@ -74,11 +74,11 @@ def _substitute(g: DecoratedGraph, idx: int):
     i, j = g.edges[idx]
     if not g.is_short_chord(i, j):
         raise ValueError("edge %d is not a short chord" % idx)
-    remap = _merge_map(i, j)
-    edges = tuple((remap(x), remap(y))
-                  for t, (x, y) in enumerate(g.edges) if t != idx)
-    loops = tuple((remap(v), of, af) for v, of, af in g.loops)
-    crosses = tuple(remap(v) for v in g.crosses) + (remap(i),)
+    new = _merge_labels(g.num_vertices, i, j)
+    edges = tuple([edge_pair(new[x], new[y])
+                   for t, (x, y) in enumerate(g.edges) if t != idx])
+    loops = tuple([(new[v], of, af) for v, of, af in g.loops])
+    crosses = tuple([new[v] for v in g.crosses]) + (new[i],)
     return DecoratedGraph(ODD, g.v_ext - 1, g.v_int, edges, loops, crosses)
 
 

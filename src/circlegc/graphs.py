@@ -55,6 +55,21 @@ whole orbit, which ``tests/test_graphs.py`` keeps as the reference.
 A graph is a named tuple of its fields, so its identity is that tuple:
 hashing, equality and the order that sorts bases, vector terms and matrix
 rows all compare ``(parity, v_ext, v_int, edges, loops, crosses)``.
+
+Edge pairs are shared.  At order 5 and above the bases and the
+``canonical_form`` memo hold hundreds of thousands of graphs at once, and
+with a tuple per edge those tuples are most of that memory, though a
+graph of order k has at most 2k labels and so meets at most (2k + 1)^2
+distinct pairs.  So one table, built at import, holds one ``(a, b)``
+tuple per ordered pair of labels 0..31 (every graph of order up to 15),
+and every place that builds a graph's edges from labels takes its pairs
+from ``edge_pair``: the canonical forms, the contractions, the
+short-chord substitution, the enumerator's shapes, the explicit
+cocycles and the JSON reader.  A label outside the table gets a new
+tuple; only a graph read from JSON or built by hand can carry one, and
+nothing an input does grows the table.  Sharing only saves memory:
+tuples compare, hash and sort by value, so identity never enters
+equality.
 """
 
 from __future__ import annotations
@@ -265,6 +280,19 @@ def perm_sign(seq) -> int:
     return -1 if inv & 1 else 1
 
 
+# labels 0.._PAIR_LABELS - 1: the shared edge pairs (see the module docstring)
+_PAIR_LABELS = 32
+_PAIRS = [[(a, b) for b in range(_PAIR_LABELS)] for a in range(_PAIR_LABELS)]
+
+
+def edge_pair(a: int, b: int) -> tuple:
+    """The shared tuple ``(a, b)`` of the pair table, or a new one when a
+    label lies outside it."""
+    if 0 <= a < _PAIR_LABELS and 0 <= b < _PAIR_LABELS:
+        return _PAIRS[a][b]
+    return a, b
+
+
 def _best_orders(cells, adj):
     """Every ordering of the internal vertices that keeps the ordered cells
     and makes the internal rows of the adjacency bitstring greatest.
@@ -453,7 +481,7 @@ def _canonical(g: DecoratedGraph):
             s *= perm_sign(pairs)
         if sign is None:
             sign = s
-            edges = tuple(sorted(pairs))
+            edges = tuple([edge_pair(a, b) for a, b in sorted(pairs)])
         elif s != sign:
             return None
     loops, crosses = best_tail

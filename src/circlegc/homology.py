@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .graphs import GraphVector
@@ -111,7 +112,8 @@ def _eliminate(cols, with_kernel):
         g = gcd(*vec.values()) or 1
         vec = {i: v // g for i, v in vec.items()}
         if with_kernel:
-            scale[j] = Fraction(den, g)
+            # scale[j] = (p, q): the primitive vector is p / q times column j
+            scale[j] = (den, g)
             comb = {j: 1}
         # pivot k's vector has no entry on the rows of pivots before k,
         # so clearing pivot rows in increasing k never refills them
@@ -141,9 +143,14 @@ def _eliminate(cols, with_kernel):
             pivot_of[r] = len(pivots)
             pivots.append((r, vec, comb))
         elif with_kernel:
+            # column c enters with comb[c] * p_c / q_c, the first one
+            # normalized to 1: one Fraction per coefficient
             support = sorted(comb)
-            lead = comb[support[0]] * scale[support[0]]
-            kernel.append({c: comb[c] * scale[c] / lead for c in support})
+            lead_p, lead_q = scale[support[0]]
+            lead_p *= comb[support[0]]
+            kernel.append({c: Fraction(comb[c] * scale[c][0] * lead_q,
+                                       scale[c][1] * lead_p)
+                           for c in support})
     return kernel if with_kernel else len(pivots)
 
 
@@ -180,16 +187,20 @@ def delta_matrix(src, tgt, op=delta) -> SparseRationalMatrix:
 
 
 def cohomology(parity: str, k: int, m: int,
-               op=delta, basis_fn=basis) -> CohomologyReport:
+               op=delta, basis_fn=None) -> CohomologyReport:
     """Exact cohomology at bidegree (k, m) for the chosen coboundary.
 
-    Each of the bases of degrees m, m + 1 and m - 1 is built once, in
-    that order: the kernel of the outgoing matrix is taken, and that
-    matrix dropped, before the incoming one is built for its rank."""
-    src = basis_fn(parity, k, m)
-    ker = delta_matrix(src, basis_fn(parity, k, m + 1), op=op).kernel()
+    ``basis_fn(k, m)`` gives the basis of degree m, by default
+    ``partial(basis, parity)``.  Each of the bases of degrees m, m + 1
+    and m - 1 is built once, in that order: the kernel of the outgoing
+    matrix is taken, and that matrix dropped, before the incoming one is
+    built for its rank."""
+    if basis_fn is None:
+        basis_fn = partial(basis, parity)
+    src = basis_fn(k, m)
+    ker = delta_matrix(src, basis_fn(k, m + 1), op=op).kernel()
     # every basis at degree -1 is empty
-    rank_prev = delta_matrix(basis_fn(parity, k, m - 1), src,
+    rank_prev = delta_matrix(basis_fn(k, m - 1), src,
                              op=op).rank() if m > 0 else 0
     cocycles = [GraphVector.from_canonical(
         {src[c]: v for c, v in vec.items()}, parity) for vec in ker]

@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 
 from .graphs import ODD, EVEN, AGAINST_CIRCLE, AGAINST_ORDER, \
-    DecoratedGraph, GraphVector
+    DecoratedGraph, GraphVector, edge_pair
 from .weights import ChordDiagram
 
 _ORDER_NAMES = {0: "with_circle", 1: "against_circle"}
@@ -145,7 +145,8 @@ def graph_from_dict(data: dict) -> DecoratedGraph:
         raise ValueError("%d edge ends and %d crosses cannot meet %d "
                          "external and %d internal vertices"
                          % (ends, len(crosses), v_ext, v_int))
-    return DecoratedGraph(parity, v_ext, v_int, tuple(edges), loops, crosses)
+    edges = tuple([edge_pair(a, b) for a, b in edges])
+    return DecoratedGraph(parity, v_ext, v_int, edges, loops, crosses)
 
 
 def diagram_from_dict(data) -> ChordDiagram:

@@ -2,21 +2,25 @@
 and the one engine behind delta, delta_underline and delta_framed."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
+from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, _PAIRS,
                              DecoratedGraph, canonical_form, degree,
                              is_zero_by_relations, validate)
 from circlegc.coboundary import (ContractionSite, contract_raw,
-                                 contraction_sites, delta, delta_vector,
-                                 _sigma)
+                                 contraction_sites, delete_cross, delta,
+                                 delta_vector, _sigma)
 from circlegc.enumeration import basis, framed_basis
-from circlegc.framed import (delta_framed, delta_underline,
+from circlegc.framed import (_substitute, delta_framed, delta_underline,
                              short_chord_substitution)
-from circlegc.serialize import dumps, vector_to_dict
+from circlegc.serialize import (dumps, graph_from_dict, graph_to_dict,
+                                vector_to_dict)
+from circlegc.verification import _bases
 
 from conftest import decorated_variant, order
 
@@ -198,3 +202,56 @@ def test_delta_framed_rejects_an_even_graph():
     g = DecoratedGraph(EVEN, 3, 1, ((1, 4), (2, 4), (3, 4)))
     with pytest.raises(ValueError):
         delta_framed(g)
+
+
+def _read_back(g):
+    return graph_from_dict(json.loads(dumps(graph_to_dict(g))))
+
+
+def test_edge_pairs_are_the_shared_tuples():
+    """Every graph the enumerator, the contractions, the cross deletions,
+    the substitution, the canonical forms and the JSON reader build holds
+    the pair table's own tuples.  The memo is cleared first, so that no
+    graph an earlier test wrote out by hand comes back from it."""
+    canonical_form.cache_clear()
+    sources = [g for parity in (ODD, EVEN) for k in (1, 2, 3, 4)
+               for b in _bases(partial(basis, parity), k).values() for g in b]
+    sources += [g for k in (1, 2, 3)
+                for b in _bases(framed_basis, k).values() for g in b]
+    made = list(sources)
+    for g in sources:
+        made += [contract_raw(g, site)[1] for site in contraction_sites(g)]
+        made += [delete_cross(g, a)[1] for a in range(1, g.num_crosses + 1)]
+        ops = [delta]
+        if g.parity == ODD:
+            ops.append(delta_framed)
+            if not g.crosses:
+                ops += [delta_underline, short_chord_substitution]
+                made += [_substitute(g, idx) for idx in g.short_chords()]
+        for op in ops:
+            made += [h for h, _ in op(g).items()]
+    made += [_read_back(g) for g in set(made)]
+    assert len(made) > 10000
+    unshared = [g for g in made
+                if any(p is not _PAIRS[p[0]][p[1]] for p in g.edges)]
+    assert not unshared, unshared[:3]
+
+
+def test_labels_beyond_the_pair_table():
+    """A graph with labels past the table, which only JSON input or a
+    hand-built graph can carry, round trips and maps through delta with
+    tuples of its own."""
+    chords = [(i, i + 13) for i in range(1, 14)]
+    a, b, c, d = 31, 32, 33, 34
+    edges = chords + [(27, a), (28, b), (29, c), (30, d),
+                      (a, b), (b, c), (c, d), (d, a), (a, c)]
+    g = DecoratedGraph(ODD, 30, 4, tuple(edges))
+    assert validate(g) == []
+    assert g.num_vertices >= len(_PAIRS)
+    assert _read_back(g) == g
+    image = delta(g)
+    assert not image.is_zero()
+    beyond = [h for h, _ in image.items()
+              if any(y >= len(_PAIRS) for _, y in h.edges)]
+    assert beyond
+    assert all(_read_back(h) == h for h in beyond)

@@ -164,8 +164,7 @@ def test_cocycles_embed_into_crossed_cohomology():
 
 def test_framed_cohomology_dimensions():
     dims = [cohomology(ODD, k, 0, op=delta_framed,
-                       basis_fn=lambda parity, k2, m: framed_basis(k2, m)
-                       ).dim_H for k in (1, 2, 3)]
+                       basis_fn=framed_basis).dim_H for k in (1, 2, 3)]
     assert dims == [1, 2, 3]
 
 

@@ -249,10 +249,10 @@ def test_order6_degree0_pinned_to_chord_diagram_dimensions():
     underline H^{6,0} = dim A_6 = 19.  The chord-diagram parts of the odd
     degree-0 cocycles are independent.  In degree 0 dim H is the
     dimension of the kernel, so the underline one is read off a rank.
-    About 45 s and 700 MB."""
+    About 40 s and 580 MB."""
     bases = {0: basis(ODD, 6, 0), 1: basis(ODD, 6, 1)}
     assert [len(bases[0]), len(bases[1])] == [7763, 38988]
-    rep = cohomology(ODD, 6, 0, basis_fn=lambda parity, k, m: bases[m])
+    rep = cohomology(ODD, 6, 0, basis_fn=lambda k, m: bases[m])
     assert rep.dim_H == 9
     assert _chord_part_rank(rep) == 9
     underline = delta_matrix(bases[0], bases[1], op=delta_underline)
@@ -330,13 +330,13 @@ def test_rank_only_path_agrees_with_kernel_on_order4(parity):
 def test_cohomology_builds_each_basis_once(parity):
     calls = []
 
-    def counting_basis(p, k, m):
-        calls.append((p, k, m))
-        return basis(p, k, m)
+    def counting_basis(k, m):
+        calls.append((k, m))
+        return basis(parity, k, m)
 
     rep = cohomology(parity, 4, 2, basis_fn=counting_basis)
     assert rep.dim_H == ORDER4_DIM_H[parity][2]
-    assert sorted(calls) == [(parity, 4, m) for m in (1, 2, 3)]
+    assert sorted(calls) == [(4, m) for m in (1, 2, 3)]
 
 
 def test_delta_matrix_squares_to_zero():
