@@ -17,9 +17,11 @@ raw term, ``framed.short_chord_substitution``'s included, goes through
 ``_add_term``: zero by the relations, canonical form, orientation weight.
 Each term costs one ``canonical_form`` lookup: ``_add_term`` adds its
 signed coefficient straight into a map from canonical graphs to Python
-``int``s, and the operator turns that map into a ``GraphVector`` of
-``Fraction``s once, before it returns.  ``graphs.linear`` extends any of
-these operators to graph vectors.
+``int``s.  The engine returns that map with its zeros dropped; each public
+operator turns it into a ``GraphVector`` of ``Fraction``s once, before it
+returns, and ``graphs.linear`` extends the operators to graph vectors.
+The d^2 checks of ``verification`` compose the ``int`` maps themselves
+through ``compose``, with no ``Fraction`` at all.
 
 Signs: contracting the edge or arc joining vertex i to vertex j, ordered
 along the edge arrow (odd) or the circle orientation (arcs), contributes
@@ -188,12 +190,18 @@ def _add_term(acc: dict, sign: int, raw: DecoratedGraph,
                   + sign * extra * weight * orientation_sign(canon))
 
 
-def _coboundary(g: DecoratedGraph, skip_arcs=()) -> GraphVector:
+def _nonzero(acc: dict) -> dict:
+    """``acc`` without its zero coefficients."""
+    return {h: c for h, c in acc.items() if c}
+
+
+def _coboundary(g: DecoratedGraph, skip_arcs=()) -> dict:
     """Signed sum over the sites of ``g``, the arcs starting at a vertex in
-    ``skip_arcs`` left out, plus one term per cross; zero on a graph zero
-    by the relations."""
+    ``skip_arcs`` left out, plus one term per cross, as a map from
+    canonical graphs to nonzero ``int`` coefficients; empty on a graph
+    zero by the relations."""
     if is_zero_by_relations(g):
-        return GraphVector(parity=g.parity)
+        return {}
     acc = {}
     weight = orientation_sign(g)
     for site in contraction_sites(g):
@@ -201,7 +209,7 @@ def _coboundary(g: DecoratedGraph, skip_arcs=()) -> GraphVector:
             _add_term(acc, *contract_raw(g, site), weight)
     for label in range(1, g.num_crosses + 1):
         _add_term(acc, *delete_cross(g, label), weight)
-    return GraphVector.from_canonical(acc, g.parity)
+    return _nonzero(acc)
 
 
 def delta(g: DecoratedGraph) -> GraphVector:
@@ -210,7 +218,18 @@ def delta(g: DecoratedGraph) -> GraphVector:
 
     Every term has the same order as ``g`` and degree one higher.
     """
-    return _coboundary(g)
+    return GraphVector.from_canonical(_coboundary(g), g.parity)
+
+
+def compose(op, terms: dict) -> dict:
+    """``op``, a map from canonical graphs to ``{canonical graph: int}``
+    maps such as ``_coboundary``, extended linearly to ``terms``, a map of
+    the same kind, in ``int`` arithmetic; zeros dropped."""
+    acc = {}
+    for g, c in terms.items():
+        for h, d in op(g).items():
+            acc[h] = acc.get(h, 0) + c * d
+    return _nonzero(acc)
 
 
 def delta_vector(v: GraphVector) -> GraphVector:

@@ -19,6 +19,10 @@ on the one coboundary engine of ``coboundary``:
   graph at that step; crosses are numbered in the processing order of
   their chords and the result does not depend on that order.  Its terms
   go through the engine's ``_add_term``.
+
+Each operator is a ``GraphVector`` wrapper over an ``int`` map:
+``_coboundary`` for ``delta_framed``, ``_underline`` and
+``_substitution`` for the other two.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import itertools
 
 from .graphs import (ODD, DecoratedGraph, GraphVector, edge_pair,
                      is_zero_by_relations, linear, perm_sign)
-from .coboundary import (_add_term, _coboundary, _merge_labels, _sigma,
-                         orientation_sign)
+from .coboundary import (_add_term, _coboundary, _merge_labels, _nonzero,
+                         _sigma, orientation_sign)
 
 
 def delta_framed(g: DecoratedGraph) -> GraphVector:
@@ -36,7 +40,7 @@ def delta_framed(g: DecoratedGraph) -> GraphVector:
     plus one term per cross."""
     if g.parity != ODD:
         raise ValueError("the crossed complex is odd: parity mismatch")
-    return _coboundary(g)
+    return GraphVector.from_canonical(_coboundary(g), ODD)
 
 
 def _suppressed_arcs(g: DecoratedGraph):
@@ -52,13 +56,18 @@ def _suppressed_arcs(g: DecoratedGraph):
     return out
 
 
+def _underline(g: DecoratedGraph) -> dict:
+    """The engine's ``int`` map behind ``delta_underline``."""
+    return _coboundary(g, _suppressed_arcs(g))
+
+
 def delta_underline(g: DecoratedGraph) -> GraphVector:
     """Coboundary without the arc contractions over short chords.
 
     With two external vertices joined by a chord the two arc contractions
     produce the same signed term; one of the two copies is dropped.
     """
-    return _coboundary(g, _suppressed_arcs(g))
+    return GraphVector.from_canonical(_underline(g), g.parity)
 
 
 def delta_underline_vector(v: GraphVector) -> GraphVector:
@@ -107,17 +116,8 @@ def _branch(g: DecoratedGraph, idxs):
     return sign, h
 
 
-def short_chord_substitution(g: DecoratedGraph,
-                             chord_order=None) -> GraphVector:
-    """The chain map into the crossed complex.
-
-    A graph without short chords maps to itself.  Otherwise every short
-    chord is expanded as "keep" plus a signed "replace by a crossed
-    vertex"; ``chord_order`` (a permutation of the short-chord edge
-    indices) sets the numbering of the crosses, which only changes each
-    branch by the sign of that permutation, so the result is order
-    independent.
-    """
+def _substitution(g: DecoratedGraph, chord_order=None) -> dict:
+    """The engine's ``int`` map behind ``short_chord_substitution``."""
     if g.parity != ODD or g.crosses:
         raise ValueError("substitution needs an uncrossed odd graph")
     chords = g.short_chords() if chord_order is None else list(chord_order)
@@ -135,4 +135,18 @@ def short_chord_substitution(g: DecoratedGraph,
             crosses = tuple(raw.crosses[first.index(idx)] for idx in combo)
             _add_term(acc, sign * perm_sign(combo),
                       raw._replace(crosses=crosses), weight)
-    return GraphVector.from_canonical(acc, ODD)
+    return _nonzero(acc)
+
+
+def short_chord_substitution(g: DecoratedGraph,
+                             chord_order=None) -> GraphVector:
+    """The chain map into the crossed complex.
+
+    A graph without short chords maps to itself.  Otherwise every short
+    chord is expanded as "keep" plus a signed "replace by a crossed
+    vertex"; ``chord_order`` (a permutation of the short-chord edge
+    indices) sets the numbering of the crosses, which only changes each
+    branch by the sign of that permutation, so the result is order
+    independent.
+    """
+    return GraphVector.from_canonical(_substitution(g, chord_order), ODD)

@@ -542,10 +542,11 @@ class GraphVector:
     @classmethod
     def from_canonical(cls, coeffs, parity) -> "GraphVector":
         """The vector with the given ``{canonical graph: coefficient}``
-        terms.  The graphs are taken as canonical, with no lookup;
-        coefficients become ``Fraction``s and zeros are dropped."""
+        terms.  The graphs are taken as canonical and the coefficients as
+        nonzero, with no lookup or check; coefficients become
+        ``Fraction``s."""
         out = cls(parity=parity)
-        out._terms = {g: Fraction(c) for g, c in coeffs.items() if c}
+        out._terms = {g: Fraction(c) for g, c in coeffs.items()}
         return out
 
     def add_graph(self, graph: DecoratedGraph, coeff) -> None:
@@ -560,7 +561,7 @@ class GraphVector:
             self.parity = canon.parity
         elif self.parity != canon.parity:
             raise ValueError("parity mismatch in GraphVector")
-        new = self._terms.get(canon, Fraction(0)) + coeff * sign
+        new = self._terms.get(canon, 0) + coeff * sign
         if new == 0:
             self._terms.pop(canon, None)
         else:
@@ -608,7 +609,7 @@ def linear(op, v: GraphVector) -> GraphVector:
     acc = out._terms
     for g, coeff in v._terms.items():
         for h, c in op(g)._terms.items():
-            new = acc.get(h, Fraction(0)) + coeff * c
+            new = acc.get(h, 0) + coeff * c
             if new == 0:
                 acc.pop(h, None)
             else:

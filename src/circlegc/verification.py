@@ -11,12 +11,11 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from . import __version__
-from .graphs import ODD, EVEN, canonical_form, linear
-from .coboundary import delta, delta_vector
+from .graphs import ODD, EVEN, canonical_form
+from .coboundary import _coboundary, compose, delta_vector
 from .enumeration import _shapes_cached, basis, framed_basis
 from .homology import cohomology, _rank
-from .framed import (delta_framed, delta_underline,
-                     short_chord_substitution)
+from .framed import _substitution, _underline, delta_underline
 from .cocycles import (order2_cocycle, order3_cocycle_odd,
                        order3_cocycle_even)
 from .weights import (chord_diagram_basis, gl_weight, gl_weight_by_traces,
@@ -52,14 +51,15 @@ def criterion_dsquared() -> dict:
     order <= 3 in both parities, and of odd order 4.
 
     Each basis is built once per (parity, k), and each graph is mapped
-    twice through a memo of ``delta`` local to this call, so a graph met
-    as a source and again as an image term is mapped once; the memo goes
-    when the criterion returns, and its vectors are only read.  A failure
-    names the source bidegree."""
+    twice through a memo of the coboundary engine's ``int`` maps local to
+    this call, so a graph met as a source and again as an image term is
+    mapped once; the memo goes when the criterion returns, and its maps
+    are only read.  The square is composed in ``int`` arithmetic.  A
+    failure names the source bidegree."""
     bidegrees = 0
     order4 = 0
     failures = []
-    image = lru_cache(maxsize=None)(delta)
+    image = lru_cache(maxsize=None)(_coboundary)
     for parity, top in ((ODD, MAX_ORDER + 1), (EVEN, MAX_ORDER)):
         for k in range(1, top + 1):
             for m, b in _bases(partial(basis, parity), k).items():
@@ -67,7 +67,7 @@ def criterion_dsquared() -> dict:
                     order4 += len(b)
                 else:
                     bidegrees += 1
-                if not all(linear(image, image(g)).is_zero() for g in b):
+                if any(compose(image, image(g)) for g in b):
                     failures.append([parity, k, m])
     return {"name": "dsquared", "passed": not failures,
             "detail": {"bidegrees": bidegrees, "odd_order4_graphs": order4,
@@ -154,10 +154,12 @@ def criterion_framed_suite() -> dict:
     to zero at order <= 3; the substitution map intertwines them and is
     independent of the chord processing order.  Like
     ``criterion_dsquared``, it maps each graph once per operator through
-    memos local to this call."""
-    framed = lru_cache(maxsize=None)(delta_framed)
-    underline = lru_cache(maxsize=None)(delta_underline)
-    substitution = lru_cache(maxsize=None)(short_chord_substitution)
+    memos of the engine's ``int`` maps local to this call, and composes
+    them in ``int`` arithmetic.  The crossed coboundary is the engine
+    itself, as every graph it meets is odd."""
+    framed = lru_cache(maxsize=None)(_coboundary)
+    underline = lru_cache(maxsize=None)(_underline)
+    substitution = lru_cache(maxsize=None)(_substitution)
     detail = {}
     ok = True
     bad = 0
@@ -166,7 +168,7 @@ def criterion_framed_suite() -> dict:
         for fb in _bases(framed_basis, k).values():
             for g in fb:
                 n += 1
-                if not linear(framed, framed(g)).is_zero():
+                if compose(framed, framed(g)):
                     bad += 1
     detail["framed_dsquared"] = {"graphs": n, "failures": bad}
     ok = ok and bad == 0
@@ -179,17 +181,16 @@ def criterion_framed_suite() -> dict:
         for b in _bases(partial(basis, ODD), k).values():
             for g in b:
                 n += 1
-                if not linear(underline, underline(g)).is_zero():
+                if compose(underline, underline(g)):
                     bad += 1
-                lhs = linear(substitution, underline(g))
-                rhs = linear(framed, substitution(g))
+                lhs = compose(substitution, underline(g))
+                rhs = compose(framed, substitution(g))
                 if lhs != rhs:
                     chain_bad += 1
                 chords = g.short_chords()
                 if len(chords) >= 2:
                     order_n += 1
-                    alt = short_chord_substitution(
-                        g, chord_order=list(reversed(chords)))
+                    alt = _substitution(g, list(reversed(chords)))
                     if alt != substitution(g):
                         order_bad += 1
     detail["underline_dsquared"] = {"graphs": n, "failures": bad}

@@ -108,17 +108,17 @@ def test_determinism_criterion_recomputes_cold(monkeypatch):
 
 
 def _break_one_image(monkeypatch, name, sources):
-    """Double the image under ``vf.<name>`` of one graph g that has a
-    nonzero image and is a term of the image of a source graph f.  The
-    square of the operator on f is then (coefficient of g) * image(g),
-    which is not zero."""
+    """Double the image under ``vf.<name>``, an ``int`` map of the
+    coboundary engine, of one graph g that has a nonzero image and is a
+    term of the image of a source graph f: the least such term of the
+    first such f.  The square of the operator on f is then (coefficient
+    of g) * image(g), which is not zero."""
     op = getattr(vf, name)
-    g = next(h for f in sources for _, h in op(f).terms
-             if not op(h).is_zero())
+    g = next(h for f in sources for h in sorted(op(f)) if op(h))
 
     def broken(x, *args, **kwargs):
         image = op(x, *args, **kwargs)
-        return image.scaled(2) if x == g else image
+        return {h: 2 * c for h, c in image.items()} if x == g else image
 
     monkeypatch.setattr(vf, name, broken)
 
@@ -127,7 +127,7 @@ def _break_one_image(monkeypatch, name, sources):
 def test_dsquared_criterion_fails_on_a_broken_delta(monkeypatch, k):
     """Every graph is mapped twice through the criterion's memo, at
     order 3 as at order 4: both see the broken image."""
-    _break_one_image(monkeypatch, "delta", basis(ODD, k, 0))
+    _break_one_image(monkeypatch, "_coboundary", basis(ODD, k, 0))
     result = vf.criterion_dsquared()
     assert not result["passed"]
     assert [ODD, k, 0] in result["detail"]["failures"]
@@ -150,8 +150,8 @@ def test_dsquared_criterion_builds_each_basis_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name, sources, check", [
-    ("delta_framed", lambda: framed_basis(3, 0), "framed_dsquared"),
-    ("delta_underline", lambda: basis(ODD, 3, 0), "underline_dsquared"),
+    ("_coboundary", lambda: framed_basis(3, 0), "framed_dsquared"),
+    ("_underline", lambda: basis(ODD, 3, 0), "underline_dsquared"),
 ], ids=["delta_framed", "delta_underline"])
 def test_framed_criterion_fails_on_a_broken_operator(monkeypatch, name,
                                                      sources, check):

@@ -10,13 +10,14 @@ from functools import partial
 import pytest
 
 from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, _PAIRS,
-                             DecoratedGraph, canonical_form, degree,
-                             is_zero_by_relations, validate)
-from circlegc.coboundary import (ContractionSite, contract_raw,
+                             DecoratedGraph, GraphVector, canonical_form,
+                             degree, is_zero_by_relations, validate)
+from circlegc.coboundary import (ContractionSite, _coboundary, contract_raw,
                                  contraction_sites, delete_cross, delta,
                                  delta_vector, _sigma)
 from circlegc.enumeration import basis, framed_basis
-from circlegc.framed import (_substitute, delta_framed, delta_underline,
+from circlegc.framed import (_substitute, _substitution, _underline,
+                             delta_framed, delta_underline,
                              short_chord_substitution)
 from circlegc.serialize import (dumps, graph_from_dict, graph_to_dict,
                                 vector_to_dict)
@@ -120,56 +121,80 @@ def test_dsquared_spot_checks():
                 assert delta_vector(delta(g)).is_zero()
 
 
-def _graphs(basis_fn):
-    """Every basis graph of order <= 3, degrees 0..2k+1."""
-    return [g for k in (1, 2, 3) for m in range(2 * k + 2)
+def _graphs(basis_fn, top=3):
+    """Every basis graph of order <= top, degrees 0..2k+1."""
+    return [g for k in range(1, top + 1) for m in range(2 * k + 2)
             for g in basis_fn(k, m)]
 
 
 BOTH = (lambda k, m: basis(ODD, k, m) + basis(EVEN, k, m))
 
 # SHA-256 over the serialized outputs, pinned before the three operators
-# were folded into one engine: (operator, graphs, graph count, digest)
+# were folded into one engine: (operator, the engine's int map behind it,
+# graphs, graph count, digest)
 PINNED = [
-    (delta, BOTH, 110,
+    (delta, _coboundary, BOTH, 110,
      "718efc2f3251813ed0503db66ac93242104daa66c0a8d3ece0891387f48f55b7"),
-    (delta_underline, BOTH, 110,
+    (delta_underline, _underline, BOTH, 110,
      "49b48a0588b18479ccb203ef1259d23a31aa11a2a15f441f42e87724168a3b7c"),
-    (delta_framed, framed_basis, 89,
+    (delta_framed, _coboundary, framed_basis, 89,
      "257412bc1eb81f2fdfd99b48485ff30a3e72ab5d0e14bdc2cb6d0128429c697c"),
-    (short_chord_substitution, lambda k, m: basis(ODD, k, m), 55,
+    (short_chord_substitution, _substitution,
+     lambda k, m: basis(ODD, k, m), 55,
      "a3456611f2a9ab9a209ca9bbbebe2d377c1bd48fbd39e7dff5074064d6205c81"),
 ]
 
 
-@pytest.mark.parametrize("op, basis_fn, count, digest", PINNED,
+@pytest.mark.parametrize("op, int_map, basis_fn, count, digest", PINNED,
                          ids=[p[0].__name__ for p in PINNED])
-def test_operator_outputs_are_pinned(op, basis_fn, count, digest):
+def test_operator_outputs_are_pinned(op, int_map, basis_fn, count, digest):
+    """The operators, and the vectors of their int maps, serialize to the
+    pinned bytes."""
     graphs = _graphs(basis_fn)
-    acc = hashlib.sha256()
-    for g in graphs:
-        acc.update(dumps(vector_to_dict(op(g))).encode())
     assert len(graphs) == count
-    assert acc.hexdigest() == digest
+    for image in (op, lambda g: GraphVector.from_canonical(int_map(g),
+                                                           g.parity)):
+        acc = hashlib.sha256()
+        for g in graphs:
+            acc.update(dumps(vector_to_dict(image(g))).encode())
+        assert acc.hexdigest() == digest
 
 
+def _chord_orders(g):
+    """The substitution's chord orders: the default one, and the short
+    chords reversed where there are at least two."""
+    chords = g.short_chords()
+    return [()] + ([(chords[::-1],)] if len(chords) >= 2 else [])
+
+
+# (operator, its int map, graphs, top order, extra argument tuples)
 FRACTION_CASES = [
-    (delta, BOTH),
-    (delta_underline, BOTH),
-    (delta_framed, framed_basis),
-    (short_chord_substitution, lambda k, m: basis(ODD, k, m)),
+    (delta, _coboundary, BOTH, 4, lambda g: [()]),
+    (delta_underline, _underline, BOTH, 4, lambda g: [()]),
+    (delta_framed, _coboundary, framed_basis, 3, lambda g: [()]),
+    (short_chord_substitution, _substitution,
+     lambda k, m: basis(ODD, k, m), 4, _chord_orders),
 ]
 
 
-@pytest.mark.parametrize("op, basis_fn", FRACTION_CASES,
+@pytest.mark.parametrize("op, int_map, basis_fn, top, arg_fn",
+                         FRACTION_CASES,
                          ids=[c[0].__name__ for c in FRACTION_CASES])
-def test_operator_coefficients_are_fractions(op, basis_fn):
-    """The operators sum their terms as ints; none may leak out, which
-    neither ``==`` nor the serialized form would show."""
+def test_operator_coefficients_are_fractions(op, int_map, basis_fn, top,
+                                             arg_fn):
+    """The engine sums the terms as ints and the operators turn them into
+    Fractions; no int may leak out of an operator, which neither ``==``
+    nor the serialized form would show.  The int map the d^2 checks read
+    holds nonzero ints only, never a ``bool``, and is the operator's
+    vector."""
     rng = random.Random(51)
-    for g in _graphs(basis_fn):
+    for g in _graphs(basis_fn, top):
         for h in (g, decorated_variant(g, rng)[0]):
-            assert all(type(c) is Fraction for c, _ in op(h).terms), h
+            for args in arg_fn(h):
+                vec, ints = op(h, *args), int_map(h, *args)
+                assert all(type(c) is Fraction for c, _ in vec.terms), h
+                assert all(type(c) is int and c for c in ints.values()), h
+                assert GraphVector.from_canonical(ints, h.parity) == vec, h
 
 
 def test_delta_is_delta_framed_on_framed_graphs():

@@ -8,7 +8,7 @@ import pytest
 
 from circlegc.graphs import (ODD, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
                              GraphVector, degree, linear)
-from circlegc.coboundary import delete_cross, delta
+from circlegc.coboundary import _coboundary, compose, delete_cross, delta
 from circlegc.enumeration import basis, framed_basis
 from circlegc.homology import _rank, cohomology, delta_matrix
 from circlegc.framed import (delta_framed, delta_underline,
@@ -53,16 +53,17 @@ def test_framed_delta_squares_to_zero():
 
 
 def test_framed_delta_squares_to_zero_at_order4():
-    """d^2 = 0 on every graph of the crossed complex of order 4, each
-    mapped through one memo, and the matrices built from that memo are
-    nonzero below the top degree."""
+    """d^2 = 0, in ``int`` arithmetic, on every graph of the crossed
+    complex of order 4, each mapped through one memo of the engine's
+    ``int`` map behind ``delta_framed``, and the matrices built from that
+    memo are nonzero below the top degree."""
     bases = _bases(framed_basis, 4)
     assert [len(bases.get(m, [])) for m in range(7)] == \
         [105, 300, 357, 210, 57, 5, 0]
-    image = lru_cache(maxsize=None)(delta_framed)
+    image = lru_cache(maxsize=None)(_coboundary)
     for m in range(6):
         for g in bases[m]:
-            assert linear(image, image(g)).is_zero(), (m, g)
+            assert not compose(image, image(g)), (m, g)
         mat = delta_matrix(bases[m], bases.get(m + 1, []), op=image)
         assert any(mat.columns) == (m < 5), m
 

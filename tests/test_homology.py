@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlegc.graphs import ODD, EVEN, DecoratedGraph, GraphVector, linear
+from circlegc.graphs import ODD, EVEN, DecoratedGraph, GraphVector
 from circlegc import enumeration
-from circlegc.coboundary import delta, delta_vector
+from circlegc.coboundary import _coboundary, compose, delta, delta_vector
 from circlegc.enumeration import basis
 from circlegc.homology import _kernel, _rank, cohomology, delta_matrix
 from circlegc.cocycles import (order2_cocycle, order3_cocycle_even,
                                order3_cocycle_odd)
-from circlegc.framed import delta_underline
+from circlegc.framed import _underline, delta_underline
 from circlegc.weights import a_space_dim
 from circlegc.verification import _bases, _chord_part_rank
 
@@ -259,17 +259,18 @@ def test_order6_degree0_pinned_to_chord_diagram_dimensions():
     assert len(bases[0]) - underline.rank() == 19 == a_space_dim(6)
 
 
-def _ranks_squaring_to_zero(bases, op):
-    """The ranks of the matrices of ``op`` out of degrees 0..max(bases),
-    built from the walked ``bases`` one at a time, after asserting that
-    ``op`` squares to zero on every graph of the source basis.  The
-    check and the matrix map each graph through one memo of ``op``."""
-    image = lru_cache(maxsize=None)(op)
+def _ranks_squaring_to_zero(bases, int_map):
+    """The ranks of the matrices of the coboundary engine's ``int_map``
+    out of degrees 0..max(bases), built from the walked ``bases`` one at
+    a time, after asserting that the map squares to zero, in ``int``
+    arithmetic, on every graph of the source basis.  The check and the
+    matrix map each graph through one memo of ``int_map``."""
+    image = lru_cache(maxsize=None)(int_map)
     ranks = []
     for m in range(max(bases) + 1):
         src = bases.get(m, [])
         for g in src:
-            assert linear(image, image(g)).is_zero(), (m, g)
+            assert not compose(image, image(g)), (m, g)
         ranks.append(delta_matrix(src, bases.get(m + 1, []),
                                   op=image).rank())
     return ranks
@@ -301,13 +302,13 @@ def test_order5_delta_squares_to_zero(parity):
     assert max(bases) == 7
     euler = sum((-1) ** m * d for m, d in enumerate(dim_c))
     assert euler == {ODD: 3, EVEN: 2}[parity]
-    tables = [(delta, ORDER5_RANK[parity], ORDER5_DIM_H[parity])]
+    tables = [(_coboundary, ORDER5_RANK[parity], ORDER5_DIM_H[parity])]
     if parity == ODD:
-        tables.append((delta_underline, ORDER5_UNDERLINE_RANK,
+        tables.append((_underline, ORDER5_UNDERLINE_RANK,
                        ORDER5_UNDERLINE_DIM_H))
         assert ORDER5_UNDERLINE_DIM_H[0] == a_space_dim(5)
-    for op, want_ranks, want_dim_h in tables:
-        ranks = _ranks_squaring_to_zero(bases, op)
+    for int_map, want_ranks, want_dim_h in tables:
+        ranks = _ranks_squaring_to_zero(bases, int_map)
         assert ranks == want_ranks
         dim_h = [c - r - prev
                  for c, r, prev in zip(dim_c, ranks, [0] + ranks)]
@@ -342,7 +343,8 @@ def test_cohomology_builds_each_basis_once(parity):
 def test_delta_matrix_squares_to_zero():
     for parity in (ODD, EVEN):
         for k in (1, 2, 3):
-            _ranks_squaring_to_zero(_bases(partial(basis, parity), k), delta)
+            _ranks_squaring_to_zero(_bases(partial(basis, parity), k),
+                                    _coboundary)
 
 
 def test_delta_matrix_builds_no_basis(monkeypatch):
