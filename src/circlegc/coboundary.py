@@ -19,9 +19,11 @@ Each term costs one ``canonical_form`` lookup: ``_add_term`` adds its
 signed coefficient straight into a map from canonical graphs to Python
 ``int``s.  The engine returns that map with its zeros dropped; each public
 operator turns it into a ``GraphVector`` of ``Fraction``s once, before it
-returns, and ``graphs.linear`` extends the operators to graph vectors.
-The d^2 checks of ``verification`` compose the ``int`` maps themselves
-through ``compose``, with no ``Fraction`` at all.
+returns.  ``compose`` is the one linear extension: it extends any map
+from canonical graphs to coefficient maps, a public operator or an
+engine ``int`` map alike, since a ``GraphVector`` is its coefficient map.
+The d^2 checks of ``verification`` compose the ``int`` maps themselves,
+with no ``Fraction`` at all.
 
 Signs: contracting the edge or arc joining vertex i to vertex j, ordered
 along the edge arrow (odd) or the circle orientation (arcs), contributes
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from .graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER, AGAINST_ORDER,
                      DecoratedGraph, GraphVector, canonical_form, degree,
-                     edge_pair, is_zero_by_relations, linear)
+                     edge_pair, is_zero_by_relations)
 
 
 class ContractionSite(NamedTuple):
@@ -218,13 +220,14 @@ def delta(g: DecoratedGraph) -> GraphVector:
 
     Every term has the same order as ``g`` and degree one higher.
     """
-    return GraphVector.from_canonical(_coboundary(g), g.parity)
+    return GraphVector(g.parity, _coboundary(g))
 
 
 def compose(op, terms: dict) -> dict:
-    """``op``, a map from canonical graphs to ``{canonical graph: int}``
-    maps such as ``_coboundary``, extended linearly to ``terms``, a map of
-    the same kind, in ``int`` arithmetic; zeros dropped."""
+    """``op``, a map from canonical graphs to ``{canonical graph:
+    coefficient}`` maps such as ``_coboundary`` or ``delta``, extended
+    linearly to ``terms``, a map of the same kind, in the coefficients'
+    own arithmetic (``int`` for the engine's maps); zeros dropped."""
     acc = {}
     for g, c in terms.items():
         for h, d in op(g).items():
@@ -234,4 +237,4 @@ def compose(op, terms: dict) -> dict:
 
 def delta_vector(v: GraphVector) -> GraphVector:
     """Linear extension of ``delta`` to graph vectors."""
-    return linear(delta, v)
+    return GraphVector(v.parity, compose(delta, v))

@@ -30,9 +30,9 @@ from __future__ import annotations
 import itertools
 
 from .graphs import (ODD, DecoratedGraph, GraphVector, edge_pair,
-                     is_zero_by_relations, linear, perm_sign)
+                     is_zero_by_relations)
 from .coboundary import (_add_term, _coboundary, _merge_labels, _nonzero,
-                         _sigma, orientation_sign)
+                         _sigma, compose, orientation_sign)
 
 
 def delta_framed(g: DecoratedGraph) -> GraphVector:
@@ -40,7 +40,7 @@ def delta_framed(g: DecoratedGraph) -> GraphVector:
     plus one term per cross."""
     if g.parity != ODD:
         raise ValueError("the crossed complex is odd: parity mismatch")
-    return GraphVector.from_canonical(_coboundary(g), ODD)
+    return GraphVector(ODD, _coboundary(g))
 
 
 def _suppressed_arcs(g: DecoratedGraph):
@@ -67,12 +67,12 @@ def delta_underline(g: DecoratedGraph) -> GraphVector:
     With two external vertices joined by a chord the two arc contractions
     produce the same signed term; one of the two copies is dropped.
     """
-    return GraphVector.from_canonical(_underline(g), g.parity)
+    return GraphVector(g.parity, _underline(g))
 
 
 def delta_underline_vector(v: GraphVector) -> GraphVector:
     """Linear extension of ``delta_underline`` to graph vectors."""
-    return linear(delta_underline, v)
+    return GraphVector(v.parity, compose(delta_underline, v))
 
 
 def _substitute(g: DecoratedGraph, idx: int):
@@ -92,19 +92,20 @@ def _substitute(g: DecoratedGraph, idx: int):
 
 
 def _branch(g: DecoratedGraph, idxs):
-    """Substitute the chords with the given edge indices, lowest first.
+    """Substitute the chords with the given edge indices, in the order
+    given.
 
     Substituting the chord from vertex i to vertex j (read along its
     arrow) in a graph with n vertices contributes the sign
     (-1)^n sigma(i, j), evaluated in the labels of the graph at that
-    step.  Returns ``(sign, graph)`` with the crosses numbered in edge
-    order, or ``None`` when an intermediate graph is zero by the
-    relations (a doubled edge, or two crosses meeting at one vertex): the
-    substitution steps act linearly, so a zero intermediate kills the
+    step.  Returns ``(sign, graph)`` with the crosses numbered in
+    processing order, or ``None`` when an intermediate graph is zero by
+    the relations (a doubled edge, or two crosses meeting at one vertex):
+    the substitution steps act linearly, so a zero intermediate kills the
     whole branch.
     """
     sign, h = 1, g
-    cur = sorted(idxs)
+    cur = list(idxs)
     while cur:
         idx = cur.pop(0)
         i, j = h.edges[idx]
@@ -126,15 +127,8 @@ def _substitution(g: DecoratedGraph, chord_order=None) -> dict:
     for r in range(len(chords) + 1):
         for combo in itertools.combinations(chords, r):
             res = _branch(g, combo)
-            if res is None:
-                continue
-            sign, raw = res
-            # _branch numbers the crosses in edge order; renumber them in
-            # processing order, which costs the permutation's sign
-            first = sorted(combo)
-            crosses = tuple(raw.crosses[first.index(idx)] for idx in combo)
-            _add_term(acc, sign * perm_sign(combo),
-                      raw._replace(crosses=crosses), weight)
+            if res is not None:
+                _add_term(acc, *res, weight)
     return _nonzero(acc)
 
 
@@ -145,8 +139,9 @@ def short_chord_substitution(g: DecoratedGraph,
     A graph without short chords maps to itself.  Otherwise every short
     chord is expanded as "keep" plus a signed "replace by a crossed
     vertex"; ``chord_order`` (a permutation of the short-chord edge
-    indices) sets the numbering of the crosses, which only changes each
-    branch by the sign of that permutation, so the result is order
-    independent.
+    indices, by default the edge order) is the order in which the chords
+    are substituted, and so numbers the crosses.  Each step's sign is
+    read in the labels of its own step, and the result does not depend
+    on the order.
     """
-    return GraphVector.from_canonical(_substitution(g, chord_order), ODD)
+    return GraphVector(ODD, _substitution(g, chord_order))

@@ -529,25 +529,21 @@ def canonical_form(g: DecoratedGraph):
 # linear combinations
 
 
-class GraphVector:
+class GraphVector(dict):
     """Formal linear combination of canonical graphs with exact rational
-    coefficients.  All terms share a parity; the empty vector is neutral."""
+    coefficients: the ``{canonical graph: Fraction}`` map itself, plus the
+    parity all its terms share.  The empty vector is neutral."""
 
-    __slots__ = ("_terms", "parity")
+    __slots__ = ("parity",)
 
-    def __init__(self, parity=None):
-        self._terms = {}
-        self.parity = parity
-
-    @classmethod
-    def from_canonical(cls, coeffs, parity) -> "GraphVector":
+    def __init__(self, parity=None, terms=None):
         """The vector with the given ``{canonical graph: coefficient}``
         terms.  The graphs are taken as canonical and the coefficients as
         nonzero, with no lookup or check; coefficients become
         ``Fraction``s."""
-        out = cls(parity=parity)
-        out._terms = {g: Fraction(c) for g, c in coeffs.items()}
-        return out
+        if terms:
+            super().__init__(zip(terms, map(Fraction, terms.values())))
+        self.parity = parity
 
     def add_graph(self, graph: DecoratedGraph, coeff) -> None:
         coeff = Fraction(coeff)
@@ -561,57 +557,31 @@ class GraphVector:
             self.parity = canon.parity
         elif self.parity != canon.parity:
             raise ValueError("parity mismatch in GraphVector")
-        new = self._terms.get(canon, 0) + coeff * sign
+        new = self.get(canon, 0) + coeff * sign
         if new == 0:
-            self._terms.pop(canon, None)
+            self.pop(canon, None)
         else:
-            self._terms[canon] = new
+            self[canon] = new
 
     @property
     def terms(self):
         """Sorted list of ``(coefficient, canonical graph)`` pairs."""
-        return [(self._terms[g], g) for g in sorted(self._terms)]
-
-    def items(self):
-        """Unsorted ``(canonical graph, coefficient)`` pairs."""
-        return self._terms.items()
+        return [(self[g], g) for g in sorted(self)]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     def scaled(self, factor) -> "GraphVector":
         factor = Fraction(factor)
-        out = GraphVector(parity=self.parity)
+        out = GraphVector(self.parity)
         if factor != 0:
-            out._terms = {g: c * factor for g, c in self._terms.items()}
+            out.update((g, c * factor) for g, c in self.items())
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GraphVector) and self._terms == other._terms
-
-    def __len__(self):
-        return len(self._terms)
-
     def __repr__(self):
-        if not self._terms:
+        if not self:
             return "GraphVector()"
         bits = ["%s * %s edges=%s" % (c, g.parity, g.edges)
                 for c, g in self.terms[:4]]
-        more = "" if len(self._terms) <= 4 else " ..."
+        more = "" if len(self) <= 4 else " ..."
         return "GraphVector(%s%s)" % ("; ".join(bits), more)
-
-
-def linear(op, v: GraphVector) -> GraphVector:
-    """Linear extension to graph vectors of ``op``, a map from canonical
-    graphs to graph vectors.  The image terms are canonical already, so
-    they are summed without canonicalizing them again."""
-    out = GraphVector(parity=v.parity)
-    acc = out._terms
-    for g, coeff in v._terms.items():
-        for h, c in op(g)._terms.items():
-            new = acc.get(h, 0) + coeff * c
-            if new == 0:
-                acc.pop(h, None)
-            else:
-                acc[h] = new
-    return out

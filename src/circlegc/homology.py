@@ -202,7 +202,7 @@ def cohomology(parity: str, k: int, m: int,
     # every basis at degree -1 is empty
     rank_prev = delta_matrix(basis_fn(k, m - 1), src,
                              op=op).rank() if m > 0 else 0
-    cocycles = [GraphVector.from_canonical(
-        {src[c]: v for c, v in vec.items()}, parity) for vec in ker]
+    cocycles = [GraphVector(parity, {src[c]: v for c, v in vec.items()})
+                for vec in ker]
     return CohomologyReport(parity, k, m, len(ker), rank_prev,
                             len(ker) - rank_prev, src, cocycles)

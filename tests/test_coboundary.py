@@ -152,8 +152,7 @@ def test_operator_outputs_are_pinned(op, int_map, basis_fn, count, digest):
     pinned bytes."""
     graphs = _graphs(basis_fn)
     assert len(graphs) == count
-    for image in (op, lambda g: GraphVector.from_canonical(int_map(g),
-                                                           g.parity)):
+    for image in (op, lambda g: GraphVector(g.parity, int_map(g))):
         acc = hashlib.sha256()
         for g in graphs:
             acc.update(dumps(vector_to_dict(image(g))).encode())
@@ -194,7 +193,7 @@ def test_operator_coefficients_are_fractions(op, int_map, basis_fn, top,
                 vec, ints = op(h, *args), int_map(h, *args)
                 assert all(type(c) is Fraction for c, _ in vec.terms), h
                 assert all(type(c) is int and c for c in ints.values()), h
-                assert GraphVector.from_canonical(ints, h.parity) == vec, h
+                assert GraphVector(h.parity, ints) == vec, h
 
 
 def test_delta_is_delta_framed_on_framed_graphs():
