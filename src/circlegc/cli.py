@@ -9,8 +9,10 @@ and ``export-dot`` (Graphviz rendering).  All JSON output is byte
 deterministic for fixed inputs, written with ``serialize``'s one encoder
 configuration: most reports through ``dumps``, and ``enumerate``
 listings and ``cohomology`` reports through ``write_listing``, which
-encodes and writes one basis graph or cocycle before it builds the next
-one's dict.
+writes one basis graph's or cocycle's JSON text before the next is
+built.  A ``cohomology`` report encodes each basis graph once, and
+splices that text into the basis ordering and into every cocycle term
+that names the graph.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .homology import cohomology
 from .framed import delta_framed, delta_underline
 from .weights import gl_weight, a_space_dim
 from .faces import audit_graph
-from .serialize import (diagram_from_dict, dumps, graph_to_dict,
-                        graph_from_dict, graph_to_dot, vector_to_dict,
-                        write_listing)
+from .serialize import (diagram_from_dict, dumps, graph_from_dict,
+                        graph_text, graph_to_dot, vector_text,
+                        vector_to_dict, write_listing)
 from .verification import SUITES, run_suite
 
 
@@ -84,7 +86,7 @@ def cmd_enumerate(args):
             "count": len(graphs)}
     # opened once the basis is built, so a failed command writes no file
     with _output(args.out) as fh:
-        write_listing(fh, head, {"graphs": map(graph_to_dict, graphs)})
+        write_listing(fh, head, {"graphs": map(graph_text, graphs)})
     return 0
 
 
@@ -110,17 +112,16 @@ def cmd_cohomology(args):
         rep = cohomology(ODD, args.order, args.degree, op=delta_underline)
     else:
         rep = cohomology(args.parity, args.order, args.degree)
-    # every cocycle term is a basis graph: one dict per graph, shared by
+    # every cocycle term is a basis graph: one text per graph, shared by
     # the basis ordering and the cocycles
-    to_dict = lru_cache(maxsize=None)(graph_to_dict)
+    text = lru_cache(maxsize=None)(graph_text)
     head = {"tool": "circlegc", "version": __version__,
             "parity": rep.parity, "order": rep.k, "degree": rep.m,
             "framed": args.framed, "underline": args.underline,
             "dim_kernel": rep.dim_kernel,
             "rank_previous": rep.rank_previous, "dim_H": rep.dim_H}
-    lists = {"basis_ordering": map(to_dict, rep.basis),
-             "cocycles": (vector_to_dict(v, to_dict)
-                          for v in rep.cocycle_basis)}
+    lists = {"basis_ordering": map(text, rep.basis),
+             "cocycles": (vector_text(v, text) for v in rep.cocycle_basis)}
     # opened once the report is computed, so a failed command writes no file
     with _output(args.report) as fh:
         write_listing(fh, head, lists)

@@ -8,11 +8,14 @@ circle vertices and ``{"int": j}`` for internal ones, with j counted
 from 1; odd edges are flagged ``"oriented": true`` and read from tail to
 head, even edges carry their positional ``"label"`` instead.
 
-One encoder holds the JSON settings, and both writers use it: ``dumps``
-returns a payload's text whole, and ``write_listing``, the one streamed
-writer, writes a payload with list-valued keys to a file, encoding each
-list one item at a time, to the same bytes ``dumps`` gives, so the text
-of a long listing or report is never held whole.
+One encoder holds the JSON settings, and every writer uses it.
+``dumps`` returns a payload's text whole.  ``graph_text`` and
+``vector_text`` give a graph's and a vector's text; ``vector_text``
+takes each graph's text from a function the caller may memoize, so a
+graph met in many terms is encoded once.  ``write_listing``, the one
+streamed writer, writes a payload whose list-valued keys draw JSON texts
+one at a time, to the same bytes ``dumps`` gives, so the text of a long
+listing or report is never held whole.
 
 The DOT export draws the circle as a cycle of bold arcs through the
 external vertices, graph edges dashed, and internal vertices filled.
@@ -186,12 +189,28 @@ def dumps(obj) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
+def graph_text(g: DecoratedGraph) -> str:
+    """``dumps(graph_to_dict(g))`` without its trailing newline."""
+    return _ENCODER.encode(graph_to_dict(g))
+
+
+def vector_text(v: GraphVector, text=graph_text) -> str:
+    """``dumps(vector_to_dict(v))`` without its trailing newline, each
+    graph's text given by ``text``: the keys in sorted order, terms as
+    ``v.terms`` lists them."""
+    terms = ",".join('{"coefficient":"%s","graph":%s}'
+                     % (Fraction(c), text(g)) for c, g in v.terms)
+    return '{"parity":%s,"terms":[%s]}' % (_ENCODER.encode(v.parity), terms)
+
+
 def write_listing(fh, head: dict, lists: dict) -> None:
-    """Write ``dumps({**head, **{k: list(v) for k, v in lists.items()}})``
-    to ``fh`` while drawing from the iterables in ``lists``, in key order:
-    each item is encoded and written before the next is drawn, so no list
-    is ever held whole.  All keys are strings, and ``head`` and ``lists``
-    share none."""
+    """Write ``dumps({**head, **{k: [json.loads(t) for t in v]
+    for k, v in lists.items()}})`` to ``fh`` while drawing from the
+    iterables of JSON texts in ``lists``, in key order: each text is
+    written before the next is drawn, so no list is ever held whole.
+    All keys are strings, ``head`` and ``lists`` share none, and each
+    text is one value as ``_ENCODER`` writes it (``graph_text``,
+    ``vector_text``)."""
     encode = _ENCODER.encode
     sep = "{"
     for k in sorted([*head, *lists]):
@@ -202,14 +221,16 @@ def write_listing(fh, head: dict, lists: dict) -> None:
             continue
         fh.write("[")
         for i, item in enumerate(lists[k]):
-            fh.write(("," if i else "") + encode(item))
+            if i:
+                fh.write(",")
+            fh.write(item)
         fh.write("]")
     fh.write("}\n")
 
 
-def vector_to_dict(v: GraphVector, to_dict=graph_to_dict) -> dict:
-    """The vector's JSON object, each graph written by ``to_dict``."""
-    terms = [{"coefficient": str(Fraction(c)), "graph": to_dict(g)}
+def vector_to_dict(v: GraphVector) -> dict:
+    """The vector's JSON object."""
+    terms = [{"coefficient": str(Fraction(c)), "graph": graph_to_dict(g)}
              for c, g in v.terms]
     return {"parity": v.parity, "terms": terms}
 

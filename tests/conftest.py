@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import pytest
 
-from circlegc.enumeration import _decorate
-from circlegc.graphs import ODD, EVEN, DecoratedGraph
+from circlegc.enumeration import _decorate, _shapes_cached
+from circlegc.graphs import ODD, EVEN, DecoratedGraph, canonical_form
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -26,6 +26,16 @@ def _src_on_subprocess_path():
         mp.setenv("PYTHONPATH", os.pathsep.join(
             filter(None, (SRC, os.environ.get("PYTHONPATH")))))
         yield
+
+
+@pytest.fixture(autouse=True)
+def _cold_caches_for_slow_tests(request):
+    """Each slow test starts without the canonical forms and shapes the
+    tests before it left memoized, so the slow tier's peak is that of
+    its largest test, not of the order the tests run in."""
+    if request.node.get_closest_marker("slow"):
+        canonical_form.cache_clear()
+        _shapes_cached.cache_clear()
 
 
 def order(g: DecoratedGraph) -> int:

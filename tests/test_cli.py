@@ -12,7 +12,7 @@ import pytest
 from circlegc import cli
 from circlegc.cli import main
 from circlegc.graphs import ODD, EVEN, DecoratedGraph
-from circlegc.serialize import dumps, graph_to_dict, vector_to_dict
+from circlegc.serialize import graph_text, graph_to_dict, vector_text
 
 
 def run(capsys, *argv):
@@ -149,19 +149,19 @@ def test_enumerate_prints_the_bytes_it_writes(tmp_path, capsys, argv, count):
 
 
 def test_enumerate_writes_each_graph_before_the_next_dict(monkeypatch):
-    """Graph i's text is in the stream before graph i + 1's dict is built,
-    so the listing never holds every graph's dict at once."""
+    """Graph i's text is in the stream before graph i + 1's dict and text
+    are built, so the listing never holds every graph's text at once."""
     stream = io.StringIO()
     monkeypatch.setattr(sys, "stdout", stream)
     built = []
 
-    def to_dict(g):
+    def text(g):
         if built:
-            assert stream.getvalue().endswith(dumps(built[-1]).rstrip())
-        built.append(graph_to_dict(g))
+            assert stream.getvalue().endswith(built[-1])
+        built.append(graph_text(g))
         return built[-1]
 
-    monkeypatch.setattr(cli, "graph_to_dict", to_dict)
+    monkeypatch.setattr(cli, "graph_text", text)
     assert main(["enumerate", "--order", "3", "--degree", "1"]) == 0
     assert len(built) == json.loads(stream.getvalue())["count"] > 1
 
@@ -192,19 +192,19 @@ def test_cohomology_prints_the_bytes_it_writes(tmp_path, capsys, argv):
 
 
 def test_cohomology_writes_each_cocycle_before_the_next_dict(monkeypatch):
-    """Cocycle i's text is in the stream before cocycle i + 1's dict is
-    built, so the report never holds every cocycle's dict at once."""
+    """Cocycle i's text is in the stream before cocycle i + 1's text is
+    built, so the report never holds every cocycle's text at once."""
     stream = io.StringIO()
     monkeypatch.setattr(sys, "stdout", stream)
     built = []
 
-    def to_dict(v, graph_dict):
+    def text(v, graph_text):
         if built:
-            assert stream.getvalue().endswith(dumps(built[-1]).rstrip())
-        built.append(vector_to_dict(v, graph_dict))
+            assert stream.getvalue().endswith(built[-1])
+        built.append(vector_text(v, graph_text))
         return built[-1]
 
-    monkeypatch.setattr(cli, "vector_to_dict", to_dict)
+    monkeypatch.setattr(cli, "vector_text", text)
     assert main(["cohomology", "--order", "3", "--degree", "1"]) == 0
     assert len(built) == json.loads(stream.getvalue())["dim_kernel"] > 1
 

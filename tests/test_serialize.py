@@ -3,16 +3,21 @@
 import io
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
-                             DecoratedGraph)
+                             DecoratedGraph, GraphVector)
+from circlegc.coboundary import delta
 from circlegc.enumeration import basis, framed_basis
-from circlegc.serialize import (dumps, graph_from_dict, graph_to_dict,
-                                graph_to_dot, write_listing)
+from circlegc.framed import delta_framed
+from circlegc.homology import cohomology
+from circlegc.serialize import (dumps, graph_from_dict, graph_text,
+                                graph_to_dict, graph_to_dot, vector_text,
+                                vector_to_dict, write_listing)
 
 
 def _all_graphs():
@@ -40,15 +45,51 @@ def test_serialization_is_byte_stable():
 @pytest.mark.parametrize("key", ["graphs", "a", "zz"])
 def test_write_listing_matches_dumps(n, key):
     """The streamed payload is the text ``dumps`` gives for the whole of
-    it, with two list-valued keys, whether the first sorts before, among
-    or after the head, and when it sorts next to the second."""
+    it, with two list-valued keys of JSON texts, whether the first sorts
+    before, among or after the head, and when it sorts next to the
+    second."""
     items = [graph_to_dict(g) for g in itertools.islice(_all_graphs(), n)]
+    texts = [dumps(d)[:-1] for d in items]
     head = {"tool": "circlegc", "count": n, "framed": False,
             "version": "0.0", "empty": {}, "nested": {"graphs": []}}
     out = io.StringIO()
-    write_listing(out, head, {key: iter(items), "zzz": reversed(items)})
+    write_listing(out, head, {key: iter(texts), "zzz": reversed(texts)})
     assert out.getvalue() == dumps(dict(head, **{key: items,
                                                  "zzz": items[::-1]}))
+
+
+def _regular_and_framed_bases():
+    """Every graph of the order <= 4 bases in both parities and of the
+    order <= 3 framed bases, with the coboundary it takes."""
+    for parity in (ODD, EVEN):
+        for k in range(1, 5):
+            for m in range(2 * k + 2):
+                for g in basis(parity, k, m):
+                    yield g, delta
+    for k in range(1, 4):
+        for m in range(2 * k + 2):
+            for g in framed_basis(k, m):
+                yield g, delta_framed
+
+
+def test_graph_text_matches_dumps():
+    for g, _ in _regular_and_framed_bases():
+        assert graph_text(g) + "\n" == dumps(graph_to_dict(g))
+
+
+def test_vector_text_matches_dumps():
+    """On the coboundary images of those bases, the order-4 cocycles (not
+    all of whose coefficients are integers), a vector scaled by -3/7 and
+    the empty vector, with and without a parity."""
+    vectors = [op(g) for g, op in _regular_and_framed_bases()]
+    cocycles = [v for parity in (ODD, EVEN) for m in range(10)
+                for v in cohomology(parity, 4, m).cocycle_basis]
+    assert any(c.denominator > 1 for v in cocycles for c in v.values())
+    vectors += cocycles
+    vectors += [cocycles[-1].scaled(Fraction(-3, 7)), GraphVector(),
+                GraphVector(EVEN)]
+    for v in vectors:
+        assert vector_text(v) + "\n" == dumps(vector_to_dict(v))
 
 
 def test_schema_fields():
