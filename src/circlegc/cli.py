@@ -56,7 +56,10 @@ def _emit(text: str, path):
 def _read_json(path):
     import json
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
 
 
 def _checked_graph(data):

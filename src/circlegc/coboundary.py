@@ -73,6 +73,17 @@ def _merge_labels(n: int, i: int, j: int) -> list:
     return new
 
 
+def _merge_edge(g: DecoratedGraph, idx: int):
+    """``(edges, loops, crosses)`` of ``g`` once the endpoints of edge
+    ``idx`` merge (``_merge_labels``) and that edge is dropped."""
+    new = _merge_labels(g.num_vertices, *g.edges[idx])
+    edges = tuple([edge_pair(new[x], new[y])
+                   for k, (x, y) in enumerate(g.edges) if k != idx])
+    loops = tuple([(new[v], of, af) for v, of, af in g.loops])
+    crosses = tuple([new[v] for v in g.crosses])
+    return edges, loops, crosses
+
+
 def _sigma(i: int, j: int) -> int:
     """Sign for contracting the edge or arc from vertex i to vertex j."""
     return (-1) ** j if j > i else (-1) ** (i + 1)
@@ -101,11 +112,7 @@ def _contract_edge(g: DecoratedGraph, idx: int):
         raise ValueError("cannot contract a small loop")
     if g.is_external(a) and g.is_external(b):
         raise ValueError("cannot contract a chord")
-    new = _merge_labels(g.num_vertices, a, b)
-    edges = tuple([edge_pair(new[x], new[y])
-                   for k, (x, y) in enumerate(g.edges) if k != idx])
-    loops = tuple([(new[v], of, af) for v, of, af in g.loops])
-    crosses = tuple([new[v] for v in g.crosses])
+    edges, loops, crosses = _merge_edge(g, idx)
     if g.parity == ODD:
         sign = _sigma(a, b)
     else:

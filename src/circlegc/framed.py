@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import (ODD, DecoratedGraph, GraphVector, edge_pair,
-                     is_zero_by_relations)
-from .coboundary import (_add_term, _coboundary, _merge_labels, _nonzero,
+from .graphs import ODD, DecoratedGraph, GraphVector, is_zero_by_relations
+from .coboundary import (_add_term, _coboundary, _merge_edge, _nonzero,
                          _sigma, compose, orientation_sign)
 
 
@@ -83,11 +82,8 @@ def _substitute(g: DecoratedGraph, idx: int):
     i, j = g.edges[idx]
     if not g.is_short_chord(i, j):
         raise ValueError("edge %d is not a short chord" % idx)
-    new = _merge_labels(g.num_vertices, i, j)
-    edges = tuple([edge_pair(new[x], new[y])
-                   for t, (x, y) in enumerate(g.edges) if t != idx])
-    loops = tuple([(new[v], of, af) for v, of, af in g.loops])
-    crosses = tuple([new[v] for v in g.crosses]) + (new[i],)
+    edges, loops, crosses = _merge_edge(g, idx)
+    crosses += (min(i, j),)
     return DecoratedGraph(ODD, g.v_ext - 1, g.v_int, edges, loops, crosses)
 
 

@@ -46,8 +46,7 @@ class ChordDiagram(NamedTuple):
         seen = sorted(p for pair in self.chords for p in pair)
         if seen != list(range(1, self.num_points + 1)):
             raise ValueError("chord endpoints must hit 1..2k exactly once")
-        if self.mark is not None and self.chords and \
-                not 1 <= self.mark <= self.num_points:
+        if self.mark is not None and not 1 <= self.mark <= self.num_points:
             raise ValueError("mark out of range")
 
     def rotated(self, r: int) -> "ChordDiagram":

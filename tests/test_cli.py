@@ -217,6 +217,11 @@ def test_failed_cohomology_creates_no_file(tmp_path, capsys):
     assert not report.exists()
 
 
+# nested past the decoder's recursion limit: a RecursionError, not a
+# JSONDecodeError, inside json.load
+DEEP_JSON = "[" * 5000
+
+
 def _chord(**changes):
     """The odd single chord as ``delta --in`` reads it, with changes."""
     data = {"parity": "odd", "v_ext": 2, "v_int": 0, "small_loops": [],
@@ -234,6 +239,7 @@ def _chord(**changes):
     _chord(edges=[{"from": {"ext": 1}, "to": {"ext": 1}}]),   # odd 1 -> 1
     "[1, 2]",
     '{"parity": "odd", ',                                 # truncated JSON
+    pytest.param(DEEP_JSON, id="deeply-nested"),
 ])
 def test_delta_bad_input_exits_2_with_message(tmp_path, capsys, text):
     gfile = tmp_path / "g.json"
@@ -341,6 +347,8 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     '{"chords": [[true, 2]]}',                            # bools rejected
     '{"chords": [[1, 2]], "mark": "a"}',
     '{"chords": [[1, 3]]}',                               # 2 and 4 missed
+    '{"chords": [], "mark": 3}',                          # no arc to mark
+    pytest.param(DEEP_JSON, id="deeply-nested"),
 ])
 def test_weight_bad_diagram_exits_2_with_message(tmp_path, capsys, text):
     dfile = tmp_path / "d.json"
@@ -352,7 +360,8 @@ def test_weight_bad_diagram_exits_2_with_message(tmp_path, capsys, text):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("text", ["5", '{"graphs": 5}'])
+@pytest.mark.parametrize("text", [
+    "5", '{"graphs": 5}', pytest.param(DEEP_JSON, id="deeply-nested")])
 def test_export_dot_bad_input_exits_2_with_message(tmp_path, capsys, text):
     gfile = tmp_path / "g.json"
     gfile.write_text(text)

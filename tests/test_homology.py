@@ -1,5 +1,6 @@
 """Exact linear algebra and cohomology dimensions."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -165,8 +166,8 @@ def test_elimination_equals_dense_reference(matrix):
 
 
 def test_delta_matrix_kernel_and_rank_equal_dense_reference():
-    for parity in (ODD, EVEN):
-        bases = _bases(partial(basis, parity), 3)
+    for parity, k in itertools.product((ODD, EVEN), (3, 4)):
+        bases = _bases(partial(basis, parity), k)
         for m in bases:
             mat = delta_matrix(bases[m], bases.get(m + 1, []))
             nr, nc = mat.shape

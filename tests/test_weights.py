@@ -171,6 +171,9 @@ def test_chord_diagram_validation():
         ChordDiagram(((1, 2), (2, 3))).validate()
     with pytest.raises(ValueError):
         ChordDiagram(((1, 2),), mark=5).validate()
+    with pytest.raises(ValueError):
+        ChordDiagram((), mark=1).validate()     # no arc to mark
+    ChordDiagram(()).validate()
 
 
 def test_stu_relations_are_pinned():
