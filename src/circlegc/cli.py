@@ -180,18 +180,15 @@ def cmd_export_dot(args):
         raise ValueError("expected a graph or an object with a graphs list")
     # every graph is checked before anything is drawn
     graphs = [_checked_graph(gd) for gd in graphs]
-    texts = []
-    for i, g in enumerate(graphs):
-        text = graph_to_dot(g, name="g%d" % i)
-        if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
-            with open(os.path.join(args.out_dir,
-                                   "graph_%03d.dot" % i), "w") as fh:
-                fh.write(text)
-        else:
-            texts.append(text)
+    texts = [graph_to_dot(g, name="g%d" % i) for i, g in enumerate(graphs)]
     if not args.out_dir:
         sys.stdout.write("".join(texts))
+        return 0
+    os.makedirs(args.out_dir, exist_ok=True)
+    for i, text in enumerate(texts):
+        with open(os.path.join(args.out_dir, "graph_%03d.dot" % i),
+                  "w") as fh:
+            fh.write(text)
     return 0
 
 

@@ -32,9 +32,14 @@ contraction instead uses its label a and contributes (-1)^(a+1+v_ext) with
 v_ext counted before the contraction.  Deleting the cross labelled a on a
 graph of degree m contributes (-1)^(m + a).
 
-After a contraction the merged vertex takes the label min(i, j) and every
-label above max(i, j) drops by one; in even parity, edge labels above a
-contracted edge's label drop by one as well.
+Every graph with two vertices merged, by an edge contraction, an arc
+contraction or ``framed._substitute``'s chord substitution, is built by
+``_merge``: vertices i and j become min(i, j), every label above
+max(i, j) drops by one, and the contracted edge or substituted chord is
+left out, so in even parity the edge labels above it drop by one as
+well.  An even arc contraction leaves out no edge: a short chord over
+the arc stays an edge, now a small loop on the merged vertex.  An odd
+one leaves that chord out and appends it as an external small loop.
 """
 
 from __future__ import annotations
@@ -62,23 +67,16 @@ def contraction_sites(g: DecoratedGraph):
     return sites
 
 
-def _merge_labels(n: int, i: int, j: int) -> list:
-    """``new[v]``, for v in 0..n: the label of vertex v once vertices i
-    and j merge into min(i, j) and every label above max(i, j) drops by
-    one."""
+def _merge(g: DecoratedGraph, i: int, j: int, drop: int | None):
+    """``(edges, loops, crosses)`` of ``g`` once vertices i and j merge
+    into min(i, j), every label above max(i, j) drops by one, and the edge
+    at index ``drop`` is left out (none when ``drop`` is ``None``)."""
     lo, hi = min(i, j), max(i, j)
-    new = list(range(n + 1))
+    new = list(range(g.num_vertices + 1))
     new[hi] = lo
-    new[hi + 1:] = range(hi, n)
-    return new
-
-
-def _merge_edge(g: DecoratedGraph, idx: int):
-    """``(edges, loops, crosses)`` of ``g`` once the endpoints of edge
-    ``idx`` merge (``_merge_labels``) and that edge is dropped."""
-    new = _merge_labels(g.num_vertices, *g.edges[idx])
-    edges = tuple([edge_pair(new[x], new[y])
-                   for k, (x, y) in enumerate(g.edges) if k != idx])
+    new[hi + 1:] = range(hi, g.num_vertices)
+    kept = g.edges if drop is None else g.edges[:drop] + g.edges[drop + 1:]
+    edges = tuple([edge_pair(new[x], new[y]) for x, y in kept])
     loops = tuple([(new[v], of, af) for v, of, af in g.loops])
     crosses = tuple([new[v] for v in g.crosses])
     return edges, loops, crosses
@@ -112,7 +110,7 @@ def _contract_edge(g: DecoratedGraph, idx: int):
         raise ValueError("cannot contract a small loop")
     if g.is_external(a) and g.is_external(b):
         raise ValueError("cannot contract a chord")
-    edges, loops, crosses = _merge_edge(g, idx)
+    edges, loops, crosses = _merge(g, a, b, idx)
     if g.parity == ODD:
         sign = _sigma(a, b)
     else:
@@ -130,28 +128,21 @@ def _contract_arc(g: DecoratedGraph, start: int):
         raise ValueError("arc index out of range")
     i = start
     j = 1 if i == g.v_ext else i + 1
-    new = _merge_labels(g.num_vertices, i, j)
-    sign = _sigma(i, j)
-    chord = ((i, j), (j, i))
-    edges = []
-    loops = [(new[v], of, af) for v, of, af in g.loops]
-    for e in g.edges:
-        a, b = e
-        if e in chord:
-            # A short chord between the arc's endpoints becomes an external
-            # small loop.  Its first half-edge, in the ordering consistent
-            # with the circle orientation, is the end at vertex i.
-            if g.parity == ODD:
-                arrow = WITH_ORDER if a == i else AGAINST_ORDER
-                loops.append((new[i], WITH_CIRCLE, arrow))
-            else:
-                edges.append(edge_pair(new[i], new[i]))
-        else:
-            edges.append(edge_pair(new[a], new[b]))
-    crosses = tuple([new[v] for v in g.crosses])
-    out = DecoratedGraph(g.parity, g.v_ext - 1, g.v_int, tuple(edges),
-                         tuple(loops), crosses)
-    return sign, out
+    drop = None
+    if g.parity == ODD:
+        if (i, j) in g.edges:
+            drop, arrow = g.edges.index((i, j)), WITH_ORDER
+        elif (j, i) in g.edges:
+            drop, arrow = g.edges.index((j, i)), AGAINST_ORDER
+    edges, loops, crosses = _merge(g, i, j, drop)
+    if drop is not None:
+        # A short chord between the arc's endpoints becomes an external
+        # small loop.  Its first half-edge, in the ordering consistent
+        # with the circle orientation, is the end at vertex i.
+        loops += ((min(i, j), WITH_CIRCLE, arrow),)
+    out = DecoratedGraph(g.parity, g.v_ext - 1, g.v_int, edges, loops,
+                         crosses)
+    return _sigma(i, j), out
 
 
 def delete_cross(g: DecoratedGraph, label: int):

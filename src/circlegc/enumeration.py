@@ -221,14 +221,11 @@ def _classes(parity: str, k: int, m: int, max_crosses: int):
     for x in range(0, max_crosses + 1):
         k0, m0 = k - x, m - x
         # e - v_int = k0 may legitimately be zero once crosses carry the
-        # order; degree fixes v_ext = 2 e - 3 v_int - m0.
-        for v_int in itertools.count(0):
+        # order; degree fixes v_ext = 2 e - 3 v_int - m0 = 2 k0 - v_int - m0,
+        # which is at least 1 exactly while v_int < 2 k0 - m0.
+        for v_int in range(2 * k0 - m0):
             v_ext = 2 * k0 - v_int - m0
             e = k0 + v_int
-            if v_ext < 1 or e < 0:
-                break
-            if e == 0 and v_int > 0:
-                break
             for crossed in itertools.combinations(range(1, v_ext + 1), x):
                 min_val = tuple([0 if v in crossed else 1
                                  for v in range(1, v_ext + 1)] + [3] * v_int)

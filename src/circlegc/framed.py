@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 
 from .graphs import ODD, DecoratedGraph, GraphVector, is_zero_by_relations
-from .coboundary import (_add_term, _coboundary, _merge_edge, _nonzero,
+from .coboundary import (_add_term, _coboundary, _merge, _nonzero,
                          _sigma, compose, orientation_sign)
 
 
@@ -82,7 +82,7 @@ def _substitute(g: DecoratedGraph, idx: int):
     i, j = g.edges[idx]
     if not g.is_short_chord(i, j):
         raise ValueError("edge %d is not a short chord" % idx)
-    edges, loops, crosses = _merge_edge(g, idx)
+    edges, loops, crosses = _merge(g, i, j, idx)
     crosses += (min(i, j),)
     return DecoratedGraph(ODD, g.v_ext - 1, g.v_int, edges, loops, crosses)
 

@@ -236,12 +236,14 @@ def vector_to_dict(v: GraphVector) -> dict:
 
 
 def graph_to_dot(g: DecoratedGraph, name: str = "g") -> str:
-    """Graphviz text: bold circle arcs, dashed edges, filled internals."""
+    """Graphviz text: bold circle arcs, dashed edges, filled internals,
+    and each crossed vertex labelled with all of its crosses."""
     lines = ["digraph %s {" % name]
     for i in range(1, g.v_ext + 1):
         attrs = ['label="%d"' % i, "shape=circle"]
-        if i in g.crosses:
-            attrs.append('xlabel="x%d"' % (g.crosses.index(i) + 1,))
+        crosses = ["x%d" % a for a, v in enumerate(g.crosses, 1) if v == i]
+        if crosses:
+            attrs.append('xlabel="%s"' % ",".join(crosses))
         lines.append('  e%d [%s];' % (i, ", ".join(attrs)))
     for j in range(1, g.v_int + 1):
         lines.append('  i%d [label="%d", shape=point, style=filled];'

@@ -330,13 +330,10 @@ SUITES = {
     "framed": [criterion_framed_suite, criterion_astu_dimensions],
     "weights": [criterion_gl_weights],
     "faces": [criterion_faces_suite],
-    "all": [criterion_dsquared, criterion_order2_cocycle,
-            criterion_order3_cocycles, criterion_h10_vanishes,
-            criterion_chord_diagram_presence, criterion_chord_part_injective,
-            criterion_framed_suite, criterion_astu_dimensions,
-            criterion_gl_weights, criterion_faces_suite,
-            criterion_determinism],
 }
+# every named suite, in its order, then the determinism check
+SUITES["all"] = [f for suite in SUITES.values() for f in suite] + [
+    criterion_determinism]
 
 
 def basis_ordering(parity: str, k: int, m: int):

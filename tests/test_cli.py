@@ -37,6 +37,32 @@ def test_enumerate_and_export_dot(tmp_path, capsys):
     assert text.startswith("digraph") and text.rstrip().endswith("}")
 
 
+def test_export_dot_out_dir_for_an_empty_listing(tmp_path, capsys):
+    """An empty listing still leaves its (empty) output directory."""
+    out = tmp_path / "basis.json"
+    code, _ = run(capsys, "enumerate", "--framed", "--order", "1",
+                  "--degree", "3", "--out", str(out))
+    assert code == 0 and json.loads(out.read_text())["graphs"] == []
+    dot_dir = tmp_path / "dot"
+    code, _ = run(capsys, "export-dot", "--in", str(out), "--out-dir",
+                  str(dot_dir))
+    assert code == 0
+    assert os.listdir(dot_dir) == []
+
+
+def test_export_dot_out_dir_untouched_by_a_bad_listing(tmp_path, capsys):
+    """A listing whose last graph fails its checks creates no directory,
+    although its first graph is good."""
+    good = json.loads(_chord())
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({"graphs": [good, dict(good, v_ext="x")]}))
+    dot_dir = tmp_path / "dot"
+    assert main(["export-dot", "--in", str(gfile), "--out-dir",
+                 str(dot_dir)]) == 2
+    assert capsys.readouterr().err.startswith("circlegc: error: ")
+    assert not dot_dir.exists()
+
+
 def test_delta_command(tmp_path, capsys):
     out = tmp_path / "basis.json"
     run(capsys, "enumerate", "--parity", "odd", "--order", "1",

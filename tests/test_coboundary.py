@@ -232,26 +232,56 @@ def _read_back(g):
     return graph_from_dict(json.loads(dumps(graph_to_dict(g))))
 
 
+def _raw_sources():
+    """The odd, then the even bases of orders <= 4, then the framed bases
+    of orders <= 3, each walked as ``verification`` walks it."""
+    sources = [g for parity in (ODD, EVEN) for k in (1, 2, 3, 4)
+               for b in _bases(partial(basis, parity), k).values() for g in b]
+    return sources + [g for k in (1, 2, 3)
+                      for b in _bases(framed_basis, k).values() for g in b]
+
+
+def _raw_terms(g):
+    """Every raw ``(sign, graph)`` term built from ``g`` before any
+    canonical form: one contraction per site, one deletion per cross and,
+    on an uncrossed odd graph, one substitution per short chord."""
+    terms = [contract_raw(g, site) for site in contraction_sites(g)]
+    terms += [delete_cross(g, a) for a in range(1, g.num_crosses + 1)]
+    if g.parity == ODD and not g.crosses:
+        terms += [(1, _substitute(g, idx)) for idx in g.short_chords()]
+    return terms
+
+
+def test_raw_terms_are_pinned():
+    """The raw terms themselves, labels and edge order included, are
+    pinned: the operator pins hash canonical images only, so a relabelling
+    slip that lands in the same class would pass them."""
+    sources = _raw_sources()
+    acc, count = hashlib.sha256(), 0
+    for g in sources:
+        for term in _raw_terms(g):
+            acc.update(repr(term).encode())
+            count += 1
+    assert (len(sources), count) == (1481, 11204)
+    assert acc.hexdigest() == ("c1ea8d0e023b5436b7b4c2e3cf208a15"
+                               "c2ae3cbc69057c7e71b09bc167fe4b60")
+
+
 def test_edge_pairs_are_the_shared_tuples():
     """Every graph the enumerator, the contractions, the cross deletions,
     the substitution, the canonical forms and the JSON reader build holds
     the pair table's own tuples.  The memo is cleared first, so that no
     graph an earlier test wrote out by hand comes back from it."""
     canonical_form.cache_clear()
-    sources = [g for parity in (ODD, EVEN) for k in (1, 2, 3, 4)
-               for b in _bases(partial(basis, parity), k).values() for g in b]
-    sources += [g for k in (1, 2, 3)
-                for b in _bases(framed_basis, k).values() for g in b]
+    sources = _raw_sources()
     made = list(sources)
     for g in sources:
-        made += [contract_raw(g, site)[1] for site in contraction_sites(g)]
-        made += [delete_cross(g, a)[1] for a in range(1, g.num_crosses + 1)]
+        made += [h for _, h in _raw_terms(g)]
         ops = [delta]
         if g.parity == ODD:
             ops.append(delta_framed)
             if not g.crosses:
                 ops += [delta_underline, short_chord_substitution]
-                made += [_substitute(g, idx) for idx in g.short_chords()]
         for op in ops:
             made += [h for h, _ in op(g).items()]
     made += [_read_back(g) for g in set(made)]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from circlegc.graphs import ODD, EVEN, DecoratedGraph, GraphVector
 from circlegc import enumeration
-from circlegc.coboundary import _coboundary, compose, delta, delta_vector
+from circlegc.coboundary import _coboundary, compose, delta_vector
 from circlegc.enumeration import basis
 from circlegc.homology import _kernel, _rank, cohomology, delta_matrix
 from circlegc.cocycles import (order2_cocycle, order3_cocycle_even,

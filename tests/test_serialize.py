@@ -151,6 +151,15 @@ def test_dot_even_edges_are_undirected_and_labelled():
     assert 'label="1"' in dot and 'label="2"' in dot
 
 
+def test_dot_labels_a_vertex_with_all_of_its_crosses():
+    """Two crosses on vertex 1 make the graph zero by the relations, but
+    the drawing shows both; a vertex with one cross keeps its label."""
+    g = DecoratedGraph(ODD, 2, 0, ((1, 2),), (), (1, 2, 1))
+    lines = graph_to_dot(g).splitlines()
+    assert '  e1 [label="1", shape=circle, xlabel="x1,x3"];' in lines
+    assert '  e2 [label="2", shape=circle, xlabel="x2"];' in lines
+
+
 # Valid payloads covering every field: odd edges, small loops and crosses,
 # internal vertices, and even edge labels with an external loop.
 FUZZ_SEEDS = [
