@@ -138,10 +138,9 @@ def cmd_verify(args):
 
 
 def cmd_weight(args):
-    w = gl_weight(diagram_from_dict(_read_json(args.diagram)))
+    (c,) = gl_weight(diagram_from_dict(_read_json(args.diagram)))
     payload = {"tool": "circlegc", "version": __version__,
-               "weight": {str(p): c for p, c in sorted(w.coeffs.items())},
-               "text": repr(w)}
+               "weight": {str(c): 1}, "text": "N^%d" % c if c > 1 else "N"}
     _emit(dumps(payload), args.out)
     return 0
 

@@ -222,10 +222,12 @@ def delta(g: DecoratedGraph) -> GraphVector:
 
 
 def compose(op, terms: dict) -> dict:
-    """``op``, a map from canonical graphs to ``{canonical graph:
-    coefficient}`` maps such as ``_coboundary`` or ``delta``, extended
-    linearly to ``terms``, a map of the same kind, in the coefficients'
-    own arithmetic (``int`` for the engine's maps); zeros dropped."""
+    """``op``, a map from keys to ``{key: coefficient}`` maps, extended
+    linearly to ``terms``, a ``{key: coefficient}`` map, in the
+    coefficients' own arithmetic; zeros dropped.  Any keys will do:
+    canonical graphs for ``_coboundary`` or ``delta`` (``int``
+    coefficients for the engine's maps), chord diagrams to powers of N
+    for ``weights.gl_weight``."""
     acc = {}
     for g, c in terms.items():
         for h, d in op(g).items():

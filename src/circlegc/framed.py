@@ -27,8 +27,6 @@ Each operator is a ``GraphVector`` wrapper over an ``int`` map:
 
 from __future__ import annotations
 
-import itertools
-
 from .graphs import ODD, DecoratedGraph, GraphVector, is_zero_by_relations
 from .coboundary import (_add_term, _coboundary, _merge, _nonzero,
                          _sigma, compose, orientation_sign)
@@ -87,44 +85,37 @@ def _substitute(g: DecoratedGraph, idx: int):
     return DecoratedGraph(ODD, g.v_ext - 1, g.v_int, edges, loops, crosses)
 
 
-def _branch(g: DecoratedGraph, idxs):
-    """Substitute the chords with the given edge indices, in the order
-    given.
-
-    Substituting the chord from vertex i to vertex j (read along its
-    arrow) in a graph with n vertices contributes the sign
-    (-1)^n sigma(i, j), evaluated in the labels of the graph at that
-    step.  Returns ``(sign, graph)`` with the crosses numbered in
-    processing order, or ``None`` when an intermediate graph is zero by
-    the relations (a doubled edge, or two crosses meeting at one vertex):
-    the substitution steps act linearly, so a zero intermediate kills the
-    whole branch.
-    """
-    sign, h = 1, g
-    cur = list(idxs)
-    while cur:
-        idx = cur.pop(0)
-        i, j = h.edges[idx]
-        sign *= (-1) ** h.num_vertices * _sigma(i, j)
-        h = _substitute(h, idx)
-        if is_zero_by_relations(h):
-            return None
-        cur = [t - 1 if t > idx else t for t in cur]
-    return sign, h
-
-
 def _substitution(g: DecoratedGraph, chord_order=None) -> dict:
-    """The engine's ``int`` map behind ``short_chord_substitution``."""
+    """The engine's ``int`` map behind ``short_chord_substitution``.
+
+    One recursion over the short chords, in the order given: each is
+    kept, or substituted.  Substituting the chord from vertex i to
+    vertex j (read along its arrow) in a graph with n vertices
+    contributes the sign (-1)^n sigma(i, j), read in the labels of the
+    graph at that step, and the crosses come out numbered in processing
+    order.  Every intermediate graph is built once, and one that is zero
+    by the relations (a doubled edge, or two crosses meeting at one
+    vertex) drops its whole branch: the substitution steps act linearly.
+    """
     if g.parity != ODD or g.crosses:
         raise ValueError("substitution needs an uncrossed odd graph")
     chords = g.short_chords() if chord_order is None else list(chord_order)
     acc = {}
     weight = orientation_sign(g)
-    for r in range(len(chords) + 1):
-        for combo in itertools.combinations(chords, r):
-            res = _branch(g, combo)
-            if res is not None:
-                _add_term(acc, *res, weight)
+
+    def walk(sign, h, rest):
+        if not rest:
+            _add_term(acc, sign, h, weight)
+            return
+        idx, rest = rest[0], rest[1:]
+        walk(sign, h, rest)
+        i, j = h.edges[idx]
+        merged = _substitute(h, idx)
+        if not is_zero_by_relations(merged):
+            walk(sign * (-1) ** h.num_vertices * _sigma(i, j), merged,
+                 [t - 1 if t > idx else t for t in rest])
+
+    walk(1, g, chords)
     return _nonzero(acc)
 
 

@@ -9,7 +9,10 @@ same graph differ by an STU relation between chord diagrams.
 relations: ``a_space_dim`` takes the rank of the relations, and the
 gl(N) criterion checks that the weight kills them.  The gl(N) weight of
 a chord diagram is N^c where c counts the closed curves obtained by
-traversing the circle and jumping along chords.
+traversing the circle and jumping along chords.  A weight is its
+coefficient map ``{power of N: coefficient}``, as a graph vector is its
+``{graph: coefficient}`` map, so ``coboundary.compose`` extends
+``gl_weight`` linearly to signed combinations of diagrams.
 """
 
 from __future__ import annotations
@@ -71,61 +74,22 @@ class ChordDiagram(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# weight polynomials
+# the gl(N) weight
 
 
-class WeightPolynomial:
-    """Integer polynomial in the rank indeterminate N."""
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        for power, c in dict(coeffs or {}).items():
-            if c:
-                self.coeffs[int(power)] = c
-
-    @classmethod
-    def monomial(cls, power, coeff=1):
-        return cls({power: coeff})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0) + c
-        return WeightPolynomial(out)
-
-    def scaled(self, f):
-        return WeightPolynomial({p: c * f for p, c in self.coeffs.items()})
-
-    def evaluate(self, n):
-        return sum(c * n ** p for p, c in self.coeffs.items())
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for p in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[p]
-            term = "N^%d" % p if p > 1 else ("N" if p == 1 else "1")
-            if c == 1 and p:
-                bits.append(term)
-            elif c == -1 and p:
-                bits.append("-" + term)
-            else:
-                bits.append("%s*%s" % (c, term) if p else str(c))
-        return " + ".join(bits).replace("+ -", "- ")
-
-
-def gl_weight(d: ChordDiagram) -> WeightPolynomial:
-    """gl(N) weight of a chord diagram in the defining representation.
+def gl_weight(d: ChordDiagram) -> dict:
+    """gl(N) weight of a chord diagram in the defining representation, as
+    the coefficient map ``{c: 1}`` of the monomial N^c.
 
     Each chord inserts the Casimir sum E_ij (x) E_ji at its endpoints;
     tracing around the circle the Kronecker deltas close up into loops:
     follow an arc to a chord endpoint, jump to the other endpoint, and
-    continue along the circle.  The result is N to the number of loops.
+    continue along the circle.  The result is N to the number of loops,
+    c >= 1.  The mark, if any, does not enter.
     """
     n = d.num_points
     if n == 0:
-        return WeightPolynomial.monomial(1)
+        return {1: 1}
     partner = {}
     for a, b in d.chords:
         partner[a] = b
@@ -141,7 +105,7 @@ def gl_weight(d: ChordDiagram) -> WeightPolynomial:
             seen.add(t)
             end = t % n + 1
             t = partner[end]
-    return WeightPolynomial.monomial(cycles)
+    return {cycles: 1}
 
 
 def gl_weight_by_traces(d: ChordDiagram, N: int) -> int:

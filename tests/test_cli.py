@@ -13,6 +13,7 @@ from circlegc import cli
 from circlegc.cli import main
 from circlegc.graphs import ODD, EVEN, DecoratedGraph
 from circlegc.serialize import graph_text, graph_to_dict, vector_text
+from circlegc.weights import chord_diagram_basis
 
 
 def run(capsys, *argv):
@@ -108,6 +109,25 @@ def test_weight_and_astu_dim(tmp_path, capsys):
     code, text = run(capsys, "astu-dim", "--k", "3")
     assert code == 0
     assert json.loads(text)["dim"] == 3
+
+
+def test_weight_output_is_pinned(tmp_path, capsys):
+    """The whole `weight --gl` output, both `weight` and `text`, for every
+    canonical diagram with at most five chords."""
+    digest = hashlib.sha256()
+    diagrams = 0
+    for k in range(6):
+        for d in chord_diagram_basis(k):
+            dfile = tmp_path / ("d%d.json" % diagrams)
+            dfile.write_text(json.dumps({"chords": d.chords, "mark": None}))
+            code, text = run(capsys, "weight", "--gl", "--diagram",
+                             str(dfile))
+            assert code == 0
+            digest.update(text.encode())
+            diagrams += 1
+    assert diagrams == 132
+    assert digest.hexdigest() == \
+        "72878dac6f60a89a57b23c5947407f4ddab5b38e3ef000ee60f3040f5b53fa4f"
 
 
 def test_faces_audit(tmp_path, capsys):

@@ -11,7 +11,7 @@ from circlegc.graphs import (ODD, WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
 from circlegc.coboundary import _coboundary, compose, delete_cross, delta
 from circlegc.enumeration import basis, framed_basis
 from circlegc.homology import _rank, cohomology, delta_matrix
-from circlegc.framed import (_branch, _substitution, _underline,
+from circlegc.framed import (_substitute, _substitution, _underline,
                              delta_framed, delta_underline,
                              delta_underline_vector,
                              short_chord_substitution)
@@ -178,16 +178,19 @@ def test_chain_map_and_order_independence_at_order5():
 
 
 def test_branch_substitutes_in_the_given_order():
-    """The crosses come out numbered in processing order, the graphs
-    agree otherwise, and both orders give the same signed canonical
-    term."""
+    """Substituting both chords, the crosses come out numbered in
+    processing order and the graphs agree otherwise; both orders give
+    the same signed terms."""
     g = DecoratedGraph(ODD, 4, 0, ((1, 2), (3, 4)))
     assert g.short_chords() == [0, 1]
-    (s1, h1), (s2, h2) = _branch(g, [0, 1]), _branch(g, [1, 0])
+    # once one chord is merged, the other is edge 0
+    h1 = _substitute(_substitute(g, 0), 0)
+    h2 = _substitute(_substitute(g, 1), 0)
     assert h1.crosses == (1, 2) and h2.crosses == (2, 1)
     assert h1._replace(crosses=()) == h2._replace(crosses=())
-    (c1, e1), (c2, e2) = canonical_form(h1), canonical_form(h2)
-    assert c1 == c2 and s1 * e1 == s2 * e2
+    terms = _substitution(g, [0, 1])
+    assert terms == _substitution(g, [1, 0])
+    assert len(terms) == 3 and canonical_form(h1)[0] in terms
 
 
 def test_framed_delta_respects_decoration_classes():

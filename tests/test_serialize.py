@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlegc.graphs import (ODD, EVEN, WITH_CIRCLE, WITH_ORDER,
-                             DecoratedGraph, GraphVector)
+from circlegc.graphs import (ODD, EVEN, AGAINST_CIRCLE, AGAINST_ORDER,
+                             WITH_CIRCLE, WITH_ORDER, DecoratedGraph,
+                             GraphVector)
 from circlegc.coboundary import delta
 from circlegc.enumeration import basis, framed_basis
 from circlegc.framed import delta_framed
@@ -158,6 +159,22 @@ def test_dot_labels_a_vertex_with_all_of_its_crosses():
     lines = graph_to_dot(g).splitlines()
     assert '  e1 [label="1", shape=circle, xlabel="x1,x3"];' in lines
     assert '  e2 [label="2", shape=circle, xlabel="x2"];' in lines
+
+
+def test_dot_draws_small_loop_decorations():
+    """A loop against the circle carries a "swap" tail label, and one
+    against the order points back; each of the four decorations sits on
+    a vertex of its own."""
+    g = DecoratedGraph(ODD, 4, 0, (), (
+        (1, WITH_CIRCLE, WITH_ORDER), (2, AGAINST_CIRCLE, WITH_ORDER),
+        (3, WITH_CIRCLE, AGAINST_ORDER), (4, AGAINST_CIRCLE, AGAINST_ORDER)))
+    lines = graph_to_dot(g).splitlines()
+    assert lines[-5:] == [
+        '  e1 -> e1 [style=dashed];',
+        '  e2 -> e2 [style=dashed, taillabel="swap"];',
+        '  e3 -> e3 [style=dashed, dir=back];',
+        '  e4 -> e4 [style=dashed, taillabel="swap", dir=back];',
+        '}']
 
 
 # Valid payloads covering every field: odd edges, small loops and crosses,
