@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import DecoratedGraph
 from .coboundary import ContractionSite, contraction_sites
@@ -135,17 +135,15 @@ def vanishing_threshold(fd: FaceDescriptor, extended: bool = False) -> int:
     return base + 1 if extended else base
 
 
-@dataclass(frozen=True)
-class AdmissibleSubgraph:
+class AdmissibleSubgraph(NamedTuple):
     """A face of ``graph``, encoded by the collapsing vertex subset.
 
     ``externals`` is a run of consecutive external vertices, listed in
     circle order starting at the run's first vertex (empty for types I
     and II); ``internals`` is the sorted tuple of collapsing internal
-    vertices; ``at_infinity`` marks type II.  ``edge_indices`` lists the
-    induced edges (both endpoints collapsing) and ``valence`` counts them
-    at a vertex; both are computed once per subgraph.  The formal infinity
-    vertex never carries an edge.
+    vertices; ``at_infinity`` marks type II.  The induced edges are
+    those with both endpoints collapsing; the formal infinity vertex
+    never carries one.
     """
     graph: DecoratedGraph
     externals: tuple
@@ -164,106 +162,68 @@ class AdmissibleSubgraph:
         return FaceDescriptor(self.face_type, len(self.externals),
                               len(self.internals), self.n)
 
-    @cached_property
-    def edge_indices(self) -> tuple:
-        vs = set(self.externals + self.internals)
-        return tuple(i for i, (a, b) in enumerate(self.graph.edges)
-                     if a != b and a in vs and b in vs)
-
-    @cached_property
-    def _valences(self) -> dict:
-        val = {}
-        for i in self.edge_indices:
-            for v in self.graph.edges[i]:
-                val[v] = val.get(v, 0) + 1
-        return val
-
-    def valence(self, v) -> int:
-        """Number of induced edges ending at vertex v (arcs not counted)."""
-        return self._valences.get(v, 0)
-
-
-def _runs(g: DecoratedGraph, r: int):
-    """All runs of r consecutive external vertices, as tuples in circle
-    order.  When r equals v_ext each starting vertex gives a distinct
-    face (a different arc stays long), so all v_ext rotations count."""
-    if r > g.v_ext:
-        return
-    for start in range(1, g.v_ext + 1):
-        yield tuple((start - 1 + t) % g.v_ext + 1 for t in range(r))
-
 
 def admissible_subgraphs(g: DecoratedGraph, n: int):
-    """Every admissible subgraph of g, deterministically ordered."""
-    internal = list(range(g.v_ext + 1, g.v_ext + g.v_int + 1))
-    out = []
-    for s in range(2, g.v_int + 1):
-        for sub in itertools.combinations(internal, s):
-            out.append(AdmissibleSubgraph(g, (), sub, False, n))
-    for s in range(1, g.v_int + 1):
-        for sub in itertools.combinations(internal, s):
-            out.append(AdmissibleSubgraph(g, (), sub, True, n))
-    for r in range(1, g.v_ext + 1):
-        for run in _runs(g, r):
-            for s in range(0, g.v_int + 1):
-                if r + s < 2:
-                    continue
-                for sub in itertools.combinations(internal, s):
-                    out.append(AdmissibleSubgraph(g, run, sub, False, n))
-    return out
+    """Every admissible subgraph of g: type I, type II, then type III by
+    run length and start, each by number of internal vertices and then
+    lexicographically.  A run of all v_ext external vertices gives a
+    distinct face at each start (a different arc stays long), so it is
+    listed once per start."""
+    m = g.v_ext
+    internal = range(m + 1, m + g.v_int + 1)
+    # (run, at_infinity, least number of internal vertices)
+    shapes = [((), False, 2), ((), True, 1)]
+    shapes += [(tuple((start + t) % m + 1 for t in range(r)), False,
+                max(0, 2 - r))
+               for r in range(1, m + 1) for start in range(m)]
+    return [AdmissibleSubgraph(g, run, sub, at_infinity, n)
+            for run, at_infinity, least in shapes
+            for s in range(least, g.v_int + 1)
+            for sub in itertools.combinations(internal, s)]
 
 
-def _principal_site(sg: AdmissibleSubgraph):
-    """The contraction site a contributing principal subgraph encodes,
-    or None when the principal face vanishes.
+def classify_subgraph(sg: AdmissibleSubgraph, extended: bool = False) -> tuple:
+    """The verdict on one admissible subgraph, with the contraction site
+    it encodes when it is a contributing principal face (else None).
 
-    A principal face contributes exactly when the subgraph is type I
-    with one induced edge, type III with r = s = 1 and one induced
-    edge, or type III with r = 2 and at most one induced edge (none for
-    a plain arc, one when a short chord joins the run's endpoints).
-    Every other principal face carries a zero-form over a fiber of
-    positive dimension and integrates to zero.
+    The induced edges and the valences are counted in one pass.  A
+    principal face contributes exactly when it is type III with r = 2
+    and at most one induced edge (none for a plain arc, one when a short
+    chord joins the run's endpoints), or type I or type III with r = 1
+    and one induced edge (a type II one has a single vertex and none);
+    every other principal face carries a zero-form over a fiber of
+    positive dimension and vanishes by the degree count.
+    Hidden faces are killed by one of the valence lemmas (valence 0 on
+    any vertex, then the first internal vertex with valence 1 or 2) or
+    by the degree bound; when the bound is not strict (type III at
+    n = 3, or with ``extended`` r + s = 3 at n = 4 and 5 and r + s = 4
+    at n = 4) the verdict is ``Unresolved``.
     """
     fd = sg.descriptor
-    edges = sg.edge_indices
-    if fd.face_type == TYPE_I and len(edges) == 1:
-        return ContractionSite("edge", edges[0])
-    if fd.face_type == TYPE_III:
-        if fd.r == 1 and fd.s == 1 and len(edges) == 1:
-            return ContractionSite("edge", edges[0])
-        if fd.r == 2 and len(edges) <= 1:
-            return ContractionSite("arc", sg.externals[0])
-    return None
-
-
-def classify_subgraph(sg: AdmissibleSubgraph,
-                      extended: bool = False) -> str:
-    """Verdict for one admissible subgraph.
-
-    Principal subgraphs either contribute a coboundary term or vanish by
-    the degree count.  Hidden ones are killed by one of the valence
-    lemmas or by the degree bound; when the bound is not strict (type
-    III at n = 3, or with ``extended`` r + s = 3 at n = 4 and 5 and
-    r + s = 4 at n = 4) the verdict is ``Unresolved``.
-    """
-    fd = sg.descriptor
+    valence = dict.fromkeys(sg.externals + sg.internals, 0)
+    edges = []
+    for i, (a, b) in enumerate(sg.graph.edges):
+        if a != b and a in valence and b in valence:
+            edges.append(i)
+            valence[a] += 1
+            valence[b] += 1
     if is_principal(fd):
-        if _principal_site(sg) is not None:
-            return PRINCIPAL_CONTRIBUTION
-        return ZERO_BY_DEGREE_COUNT
-    vs = sorted(sg.internals) + list(sg.externals)
-    for v in vs:
-        if sg.valence(v) == 0:
-            return ZERO_BY_LEMMA_1
+        if fd.r == 2 and len(edges) <= 1:
+            return PRINCIPAL_CONTRIBUTION, ContractionSite(
+                "arc", sg.externals[0])
+        if len(edges) == 1:
+            return PRINCIPAL_CONTRIBUTION, ContractionSite("edge", edges[0])
+        return ZERO_BY_DEGREE_COUNT, None
+    if 0 in valence.values():
+        return ZERO_BY_LEMMA_1, None
     for v in sg.internals:
-        val = sg.valence(v)
-        if val == 1:
-            return ZERO_BY_LEMMA_2
-        if val == 2:
-            return ZERO_BY_LEMMA_3
+        if valence[v] == 1:
+            return ZERO_BY_LEMMA_2, None
+        if valence[v] == 2:
+            return ZERO_BY_LEMMA_3, None
     if degree_lower_bound(fd) > vanishing_threshold(fd, extended):
-        return ZERO_BY_DEGREE_COUNT
-    return UNRESOLVED
+        return ZERO_BY_DEGREE_COUNT, None
+    return UNRESOLVED, None
 
 
 @dataclass
@@ -302,10 +262,10 @@ def audit_graph(g: DecoratedGraph, n: int,
     sites = []
     unresolved = []
     for sg in subs:
-        verdict = classify_subgraph(sg, extended=extended)
+        verdict, site = classify_subgraph(sg, extended)
         counts[verdict] = counts.get(verdict, 0) + 1
-        if verdict == PRINCIPAL_CONTRIBUTION:
-            sites.append(_principal_site(sg))
+        if site is not None:
+            sites.append(site)
         elif verdict == UNRESOLVED:
             unresolved.append(sg)
     return FaceAuditReport(n, extended, len(subs), counts, sites,

@@ -257,7 +257,9 @@ def criterion_gl_weights() -> dict:
                        "trace_failures": trace_bad}}
 
 
-def _hidden_descriptors(max_rs: int, n: int):
+def _face_descriptors(max_rs: int, n: int):
+    """Every face descriptor in dimension n with r + s <= max_rs,
+    principal and hidden: type I, type II, then type III by r."""
     for s in range(2, max_rs + 1):
         yield FaceDescriptor(TYPE_I, 0, s, n)
     for s in range(1, max_rs + 1):
@@ -275,7 +277,7 @@ def criterion_faces_suite() -> dict:
     strict_bad = 0
     strict_n = 0
     for n in range(4, 11):
-        for fd in _hidden_descriptors(10, n):
+        for fd in _face_descriptors(10, n):
             if not is_hidden(fd):
                 continue
             strict_n += 1
@@ -284,7 +286,7 @@ def criterion_faces_suite() -> dict:
     boundary3 = any(
         fd.face_type == TYPE_III and
         degree_lower_bound(fd) == vanishing_threshold(fd)
-        for fd in _hidden_descriptors(10, 3) if is_hidden(fd))
+        for fd in _face_descriptors(10, 3) if is_hidden(fd))
     fiber_ok = all(fiber_dim(FaceDescriptor(TYPE_I, 0, 2, n)) == n - 1
                    for n in range(3, 11))
     audit_bad = 0

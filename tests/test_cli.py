@@ -142,6 +142,39 @@ def test_faces_audit(tmp_path, capsys):
     assert payload["ok"] and payload["principal_match"]
 
 
+TRIPOD = DecoratedGraph(ODD, 3, 1, ((1, 4), (2, 4), (3, 4)))
+
+
+@pytest.mark.parametrize("argv, code, ok", [
+    (["--n", "3"], 0, False),
+    (["--n", "4"], 0, True),
+    (["--n", "4", "--extended"], 1, False)], ids=["n3", "n4", "n4-extended"])
+def test_faces_exit_status(tmp_path, capsys, argv, code, ok):
+    """Exit 0 when the audit is ok, or at n = 3 when the principal sites
+    match; 1 otherwise.  The tripod's unresolved faces are its full run
+    of externals with the internal vertex, listed once per start."""
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(graph_to_dict(TRIPOD)))
+    got, text = run(capsys, "faces", "--audit", str(gfile), *argv)
+    assert got == code
+    payload = json.loads(text)
+    assert payload["principal_match"] and payload["ok"] == ok
+    unresolved = [] if ok else [
+        {"face_type": "III", "externals": externals, "internals": [4]}
+        for externals in ([1, 2, 3], [2, 3, 1], [3, 1, 2])]
+    assert payload["unresolved"] == unresolved
+
+
+def test_faces_below_dimension_3_exits_2(tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(graph_to_dict(TRIPOD)))
+    assert main(["faces", "--audit", str(gfile), "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("circlegc: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_flags_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--bogus"])

@@ -1,9 +1,12 @@
 """Face taxonomy, degree bounds, and exhaustive subgraph audits."""
 
+import hashlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from circlegc.coboundary import ContractionSite
 from circlegc.graphs import ODD, EVEN, DecoratedGraph
 from circlegc.enumeration import basis
 from circlegc.faces import (PRINCIPAL_CONTRIBUTION, TYPE_I, TYPE_II,
@@ -12,6 +15,7 @@ from circlegc.faces import (PRINCIPAL_CONTRIBUTION, TYPE_I, TYPE_II,
                             audit_graph, classify_subgraph,
                             degree_lower_bound, fiber_dim, is_hidden,
                             is_principal, vanishing_threshold)
+from circlegc.verification import _bases
 
 TRIPOD = DecoratedGraph(ODD, 3, 1, ((1, 4), (2, 4), (3, 4)))
 CROSSING = DecoratedGraph(ODD, 4, 0, ((1, 3), (2, 4)))
@@ -113,7 +117,7 @@ def test_classify_bivalent_internal():
                                    (5, 6), (6, 4)))
     for sg in admissible_subgraphs(g, 5):
         if sg.face_type == TYPE_I and set(sg.internals) == {4, 5, 6}:
-            assert classify_subgraph(sg) == ZERO_BY_LEMMA_3
+            assert classify_subgraph(sg) == (ZERO_BY_LEMMA_3, None)
             break
     else:
         raise AssertionError("subgraph not found")
@@ -123,7 +127,8 @@ def test_principal_no_edge_external_pair():
     for sg in admissible_subgraphs(CROSSING, 4):
         if sg.face_type == TYPE_III and len(sg.externals) == 2 \
                 and not sg.internals:
-            assert classify_subgraph(sg) == PRINCIPAL_CONTRIBUTION
+            site = ContractionSite("arc", sg.externals[0])
+            assert classify_subgraph(sg) == (PRINCIPAL_CONTRIBUTION, site)
 
 
 def test_audit_tripod():
@@ -158,3 +163,27 @@ def test_audit_n3_reports_unresolved():
 def test_audit_rejects_low_dimension():
     with pytest.raises(ValueError):
         audit_graph(TRIPOD, 2)
+
+
+def test_audits_through_order_4_are_pinned():
+    """Every audit of an odd or even basis graph of order <= 4 (1,392
+    graphs) at n = 3..6, without and with ``extended``, hashed in that
+    order.  Only n = 3 and extended n = 4 and 5 leave faces unresolved;
+    pinned before the subgraph walk was restated as one pass per face."""
+    digest = hashlib.sha256()
+    graphs = [g for parity in (ODD, EVEN) for k in range(1, 5)
+              for b in _bases(partial(basis, parity), k).values()
+              for g in b]
+    assert len(graphs) == 1392
+    for g in graphs:
+        for n in (3, 4, 5, 6):
+            for extended in (False, True):
+                rep = audit_graph(g, n, extended=extended)
+                unresolved = [(sg.face_type, sg.externals, sg.internals)
+                              for sg in rep.unresolved]
+                digest.update(repr((
+                    rep.total, sorted(rep.verdict_counts.items()),
+                    rep.principal_sites, rep.expected_sites, unresolved,
+                    rep.ok)).encode())
+    assert digest.hexdigest() == \
+        "5f2b48109885d3ec63ea07cc653b48165121cad340896a83664ee2d87ba8f788"
